@@ -9,22 +9,28 @@ in the first server and per *request* in the second, so the ratio is
 the direct measurement of the amortization the serve layer exists
 for.
 
-The second half is the shard sweep: workload C at a serving-scale
-keyspace (``SHARD_RECORDS`` resident keys) against the single-process
-batched server and against ``repro serve --shards N`` for N in 2/4/8,
-at 16/64/256 concurrent clients.  The enclave KV index walks its full
-bucket chain on every operation, so per-op interpreter cost grows
-linearly with resident keys — sharding divides the resident set, and
-each shard's enclave walks a chain ~N times shorter.  That
-algorithmic division (not process parallelism; the reference host has
-one CPU) is where the order-of-magnitude ops/s jump comes from, and
-the sweep measures it honestly: same workload, same total ops, same
-keyspace, only the shard count varies.
+The index section drives the enclave index in-process (no sockets)
+with a seeded 50/50 get/set mix at 64, 1,024 and 16,384 resident
+keys and reports interpreter steps per operation: the enclave work
+of one served op.  The index is sized so that this stays flat in the
+keyspace (``repro.serve.secure_source.NBUCKETS``), and check.sh gates
+on it.
+
+The shard sweep is workload C at a serving-scale keyspace
+(``SHARD_RECORDS`` resident keys) against the single-process batched
+server and against ``repro serve --shards N`` for N in 2/4/8, at
+16/64/256 concurrent clients: same workload, same total ops, same
+keyspace, only the shard count varies.  With a flat index a shard's
+enclave does the same work per op as the single process's, so the
+sweep measures what routing costs and what parallelism the host's
+CPUs give back — nothing algorithmic.  Each cell also records the
+CPU the serving side spent per request: the single server's loop
+thread, or the router thread and the shard processes.
 
 The last section is the engine comparison: the same single-process
 batched server on the ``decoded`` vs ``traced`` interpreter tiers
-(workload C, 16 clients) — the measured serve-path p50/p99 payoff of
-the trace tier the engine defaults to.
+(workload C, 16 clients): the measured serve-path payoff of the
+opt-in trace tier over the ``decoded`` default.
 
 Results go to ``BENCH_serve.json`` at the repo root (ops/s and
 p50/p95/p99 per cell) plus the usual benchmark report.  Smoke mode
@@ -35,7 +41,11 @@ the client matrix for CI.
 import json
 import os
 import platform
+import random
+import statistics
 import sys
+import threading
+import time
 
 import pytest
 
@@ -56,12 +66,20 @@ RECORDS = 32 if SMOKE else 64
 VALUE_BYTES = 64 if SMOKE else 128
 BATCHES = (16, 1)
 
+# The index sweep: in-process enclave work per op vs resident keys.
+INDEX_RECORDS = (64, 256) if SMOKE else (64, 1024, 16384)
+INDEX_OPS = 64 if SMOKE else 512
+INDEX_REPEATS = 1 if SMOKE else 5
+
 # The shard sweep: full-scale keyspace, fixed total load per cell.
 SHARD_COUNTS = (2,) if SMOKE else (2, 4, 8)
 SHARD_CLIENTS = (8,) if SMOKE else (16, 64, 256)
 SHARD_RECORDS = 128 if SMOKE else 16384
 SHARD_OPS_TOTAL = 96 if SMOKE else 1600
 SHARD_WORKLOAD = "C"
+# Router CPU per routed request, any sharded cell (check.sh gates
+# the committed sweep against the same bound).
+ROUTER_CPU_US_BOUND = 150
 
 # The engine comparison: traced vs decoded, single shard.
 ENGINE_COMPARE_CLIENTS = 4 if SMOKE else 16
@@ -70,7 +88,7 @@ ENGINE_COMPARE_CLIENTS = 4 if SMOKE else 16
 def _run_cell(program, workload, clients, batch, seed, engine=None):
     """One (workload, clients, batch) measurement: fresh server,
     fresh cache, shared compiled program.  ``engine`` picks the
-    interpreter tier (None = the serving default, traced)."""
+    interpreter tier (None = the serving default, decoded)."""
     config = ServeConfig(port=0, batch=batch, queue_depth=256)
     with ServerThread(config,
                       engine=SecureKVEngine(program=program,
@@ -126,6 +144,7 @@ def run_serve_comparison():
                 / cell["batch1"]["ops_per_s"], 2)
             per_clients[str(clients)] = cell
         results["workloads"][workload] = per_clients
+    results["index"] = run_index_sweep(program)
     results["shard_sweep"] = run_shard_sweep(program)
     results["engine_compare"] = run_engine_comparison(program)
     return results
@@ -134,10 +153,8 @@ def run_serve_comparison():
 def run_engine_comparison(program):
     """Traced vs decoded on the live serve path: one single-process
     batched server per engine tier, workload C at
-    ``ENGINE_COMPARE_CLIENTS`` concurrent clients.  The serve drive
-    loop re-enters the same hot KV chunks on every batch — exactly
-    the re-entry pattern the trace tier amortizes — so this is the
-    measured (not modeled) payoff of serving on ``traced``."""
+    ``ENGINE_COMPARE_CLIENTS`` concurrent clients — the measured
+    (not modeled) payoff of serving on ``traced``."""
     cells = {}
     for engine in ("decoded", "traced"):
         cells[engine] = _run_cell(program, "C",
@@ -158,10 +175,86 @@ def run_engine_comparison(program):
     }
 
 
-def _measure_load(port, clients, preload):
+def _index_cell(program, records):
+    """Steps and wall time per op of a seeded 50/50 get/set mix over
+    ``records`` preloaded keys, in 16-op drives, on a fresh engine.
+    Steps are deterministic; the wall time is the median (and
+    max-min spread over the median) of ``INDEX_REPEATS`` runs."""
+    engine = SecureKVEngine(program=program)
+    keys = [f"user{i}" for i in range(records)]
+    for start in range(0, records, 16):
+        engine.execute([("set", key, b"v")
+                        for key in keys[start:start + 16]])
+    rng = random.Random(7)
+    mix = [("get", rng.choice(keys)) if rng.random() < 0.5
+           else ("set", rng.choice(keys), b"w")
+           for _ in range(INDEX_OPS)]
+    batches = [mix[i:i + 16] for i in range(0, INDEX_OPS, 16)]
+    steps, times = set(), []
+    for _ in range(INDEX_REPEATS):
+        before = engine.steps
+        started = time.perf_counter()
+        for batch in batches:
+            engine.execute(batch)
+        times.append((time.perf_counter() - started) / INDEX_OPS)
+        steps.add(engine.steps - before)
+    if len(steps) != 1:
+        raise RuntimeError(f"index @{records}: steps differ between "
+                           f"identical runs: {sorted(steps)}")
+    median = statistics.median(times)
+    return {
+        "steps_per_op": round(steps.pop() / INDEX_OPS, 1),
+        "us_per_op": round(median * 1e6, 1),
+        "us_per_op_spread": round((max(times) - min(times)) / median,
+                                  3),
+    }
+
+
+def run_index_sweep(program):
+    """Enclave work per op at growing resident keyspaces: the index
+    must stay flat (check.sh gates the largest vs the smallest)."""
+    cells = {str(records): _index_cell(program, records)
+             for records in INDEX_RECORDS}
+    low, high = min(INDEX_RECORDS), max(INDEX_RECORDS)
+    return {
+        "meta": {
+            "mix": "50/50 get/set, seeded, 16-op drives, in-process",
+            "ops": INDEX_OPS,
+            "repeats": INDEX_REPEATS,
+        },
+        "records": cells,
+        "steps_ratio": round(cells[str(high)]["steps_per_op"]
+                             / cells[str(low)]["steps_per_op"], 2),
+    }
+
+
+def _thread_cpu_s(name):
+    """CPU seconds used so far by the live thread called ``name``."""
+    thread = next(t for t in threading.enumerate() if t.name == name)
+    return time.clock_gettime(time.pthread_getcpuclockid(thread.ident))
+
+
+def _process_cpu_s(pid):
+    """CPU seconds (user + system) used so far by process ``pid``."""
+    with open(f"/proc/{pid}/stat") as handle:
+        fields = handle.read().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) \
+        / os.sysconf("SC_CLK_TCK")
+
+
+def _single_cpu(thread):
+    return {"server": _thread_cpu_s("repro-serve")}
+
+
+def _sharded_cpu(thread):
+    return {"router": _thread_cpu_s("repro-serve-router"),
+            "shard": sum(_process_cpu_s(shard.proc.pid)
+                         for shard in thread.router.shards)}
+
+
+def _measure_load(port, clients, ops=SHARD_OPS_TOTAL, preload=False):
     report = run_load("127.0.0.1", port, workload=SHARD_WORKLOAD,
-                      clients=clients,
-                      ops=SHARD_OPS_TOTAL, records=SHARD_RECORDS,
+                      clients=clients, ops=ops, records=SHARD_RECORDS,
                       value_bytes=VALUE_BYTES, seed=7,
                       preload=preload)
     if report["dropped_connections"] or report["errors"]:
@@ -170,6 +263,7 @@ def _measure_load(port, clients, preload):
             f"{report['dropped_connections']} dropped, "
             f"{report['errors']} errors")
     return {
+        "ops": report["ops"],
         "ops_per_s": report["ops_per_s"],
         "p50_ms": report["p50_ms"],
         "p95_ms": report["p95_ms"],
@@ -178,19 +272,26 @@ def _measure_load(port, clients, preload):
     }
 
 
-def _sweep_server(start_thread, get_port):
+def _sweep_server(start_thread, get_port, cpu_probe):
     """Preload once, then measure every client count against the
     same live server (workload C is read-only, so cells share state
-    safely and the expensive keyspace load is paid once)."""
+    safely and the expensive keyspace load is paid once).  Each cell
+    adds the serving side's CPU per request: ``cpu_probe`` maps the
+    live thread to CPU seconds per part (server, or router and
+    shards)."""
     cells = {}
     thread = start_thread()
     with thread:
         port = get_port(thread)
-        first = True
+        _measure_load(port, 1, ops=1, preload=True)
         for clients in SHARD_CLIENTS:
-            cells[str(clients)] = _measure_load(
-                port, clients, preload=first)
-            first = False
+            before = cpu_probe(thread)
+            cell = _measure_load(port, clients)
+            after = cpu_probe(thread)
+            for part, used in after.items():
+                cell[f"{part}_cpu_us_per_req"] = round(
+                    (used - before[part]) / cell["ops"] * 1e6, 1)
+            cells[str(clients)] = cell
         thread.stop()
     if thread.error is not None:
         raise thread.error
@@ -209,23 +310,24 @@ def run_shard_sweep(program):
             "shards": list(SHARD_COUNTS),
             "value_bytes": VALUE_BYTES,
             "cpus": os.cpu_count(),
-            "note": "single-CPU host: the sharded gain is "
-                    "algorithmic (the enclave index walks chains "
-                    "~N times shorter per shard), not process "
-                    "parallelism",
+            "note": "the enclave index is flat in the keyspace, "
+                    "so a shard does the same enclave work per op "
+                    "as the single process: the sweep prices "
+                    "routing (router CPU per request) against the "
+                    "parallelism this host's CPUs give back",
         },
     }
     sweep["single"] = _sweep_server(
         lambda: ServerThread(
             ServeConfig(port=0, batch=16, queue_depth=512),
             engine=SecureKVEngine(program=program)),
-        lambda thread: thread.server.port)
+        lambda thread: thread.server.port, _single_cpu)
     sharded = {}
     for shards in SHARD_COUNTS:
         sharded[str(shards)] = _sweep_server(
             lambda: RouterThread(RouterConfig(
                 port=0, shards=shards, batch=16, queue_depth=256)),
-            lambda thread: thread.router.port)
+            lambda thread: thread.router.port, _sharded_cpu)
     sweep["sharded"] = sharded
     sweep["speedup_vs_single"] = {
         shards: {
@@ -275,23 +377,35 @@ def regenerate_serve_report() -> Report:
     report.add(f"batching speedup at {top} clients: "
                f"min {min(gains):.2f}x / max {max(gains):.2f}x "
                f"(fixed per-drive costs amortized over the batch)")
+    index = results["index"]
+    report.add()
+    report.add(f"enclave index: {index['meta']['mix']}, "
+               f"{INDEX_OPS} ops x {INDEX_REPEATS}")
+    report.table(("records", "steps/op", "us/op", "us/op spread"),
+                 [(records, cell["steps_per_op"], cell["us_per_op"],
+                   cell["us_per_op_spread"])
+                  for records, cell in index["records"].items()])
+    report.add(f"steps/op at {max(INDEX_RECORDS)} vs "
+               f"{min(INDEX_RECORDS)} records: "
+               f"{index['steps_ratio']:.2f}x")
     sweep = results["shard_sweep"]
     report.add()
     report.add(f"shard sweep: workload {SHARD_WORKLOAD}, "
                f"{SHARD_RECORDS} resident keys, "
                f"{SHARD_OPS_TOTAL} ops per cell")
-    rows = [("single", clients,
-             sweep["single"][clients]["ops_per_s"],
-             sweep["single"][clients]["p99_ms"], "1.00x")
-            for clients in sweep["single"]]
+    rows = [("single", clients, cell["ops_per_s"], cell["p99_ms"],
+             "1.00x", cell["server_cpu_us_per_req"], "-")
+            for clients, cell in sweep["single"].items()]
     for shards, cells in sweep["sharded"].items():
         for clients, cell in cells.items():
             ratio = sweep["speedup_vs_single"][shards][clients]
             rows.append((f"{shards} shards", clients,
                          cell["ops_per_s"], cell["p99_ms"],
-                         f"{ratio:.2f}x"))
+                         f"{ratio:.2f}x", cell["shard_cpu_us_per_req"],
+                         cell["router_cpu_us_per_req"]))
     report.table(("server", "clients", "ops/s", "p99 ms",
-                  "vs single"), rows)
+                  "vs single", "server/shard cpu us/req",
+                  "router cpu us/req"), rows)
     compare = results["engine_compare"]
     report.add()
     report.add(f"engine compare: workload C, single shard, "
@@ -309,19 +423,16 @@ def regenerate_serve_report() -> Report:
         worst = results["workloads"]["C"]["16"]["speedup"]
         assert worst >= 1.5, \
             f"batching below 1.5x on C@16: {worst:.2f}x"
-        # The tentpole gates: >=4x ops/s at 64 clients with 8
-        # shards, p99 no worse at equal load; and any sharded
-        # config at 16 clients beats the single-process server.
-        gate = sweep["speedup_vs_single"]["8"]["64"]
-        assert gate >= 4.0, \
-            f"8-shard speedup below 4x at 64 clients: {gate:.2f}x"
-        assert sweep["sharded"]["8"]["64"]["p99_ms"] <= \
-            sweep["single"]["64"]["p99_ms"], "sharded p99 regressed"
-        at16 = max(cells["16"]["ops_per_s"]
-                   for cells in sweep["sharded"].values())
-        single16 = sweep["single"]["16"]["ops_per_s"]
-        assert at16 > single16, \
-            f"sharding loses at 16 clients: {at16} <= {single16}"
+        # The index must stay flat in the keyspace, and routing a
+        # request must stay cheap next to serving it.
+        assert index["steps_ratio"] <= 2.0, \
+            f"enclave steps/op not flat: {index['steps_ratio']}x"
+        router = max(cell["router_cpu_us_per_req"]
+                     for cells in sweep["sharded"].values()
+                     for cell in cells.values())
+        assert router <= ROUTER_CPU_US_BOUND, \
+            f"router CPU per request above {ROUTER_CPU_US_BOUND} " \
+            f"us: {router}"
     return report
 
 

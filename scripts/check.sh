@@ -299,23 +299,26 @@ print(f"bench gate: fig7 decoded {fig7['speedup']}x legacy, "
       f"traced {fig7['traced_vs_decoded']}x decoded OK")
 PYEOF
 
-# BENCH_serve regression gate: the committed shard sweep must show
-# sharded serving beating the single-process batched server at 16
-# clients (and >=4x at the 8-shard/64-client tentpole cell).
+# BENCH_serve regression gate: the committed enclave index must stay
+# flat in the keyspace (steps/op at 16384 resident keys at most 2x
+# steps/op at 64), and routing must stay cheap: router CPU per
+# request at most 150 us in every cell of the shard sweep.
 python - <<'PYEOF'
 import json
 
 with open("BENCH_serve.json") as handle:
-    sweep = json.load(handle)["shard_sweep"]
-single16 = sweep["single"]["16"]["ops_per_s"]
-best16 = max(cells["16"]["ops_per_s"]
-             for cells in sweep["sharded"].values())
-assert best16 > single16, \
-    f"sharded @16 clients lost: {best16} <= {single16} ops/s"
-gate = sweep["speedup_vs_single"]["8"]["64"]
-assert gate >= 4.0, f"8-shard @64 clients below 4x: {gate}x"
-print(f"bench gate: sharded @16 clients {best16} > single "
-      f"{single16} ops/s; 8 shards @64 clients {gate}x OK")
+    bench = json.load(handle)
+steps = {int(records): cell["steps_per_op"]
+         for records, cell in bench["index"]["records"].items()}
+low, high = steps[64], steps[16384]
+assert high <= 2.0 * low, \
+    f"enclave steps/op not flat: {high} @16384 vs {low} @64 keys"
+router = max(cell["router_cpu_us_per_req"]
+             for cells in bench["shard_sweep"]["sharded"].values()
+             for cell in cells.values())
+assert router <= 150, f"router CPU per request above 150 us: {router}"
+print(f"bench gate: index flat ({high} vs {low} steps/op at 16384 "
+      f"vs 64 keys), router CPU per request max {router} us OK")
 PYEOF
 
 # BENCH_partition regression gate: the committed partition-quality

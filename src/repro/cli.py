@@ -159,8 +159,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="untrusted cache LRU capacity")
     serve.add_argument("--engine", choices=list(ENGINES),
                        default=None,
-                       help="interpreter engine (default: traced, "
-                            "or REPRO_ENGINE)")
+                       help="interpreter engine (default: decoded, "
+                            "or REPRO_ENGINE; 'traced' is opt-in: "
+                            "served drives are too short for it to "
+                            "compile a region)")
     serve.add_argument("--max-steps", type=int,
                        default=50_000_000, metavar="N",
                        help="per-drive scheduler step budget")
@@ -182,9 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="chaos: shard K simulates an AEX (hard "
                             "process exit) after N operations "
                             "(requires --shards)")
-    serve.add_argument("--no-recover", action="store_true",
-                       help="do not restart dead shards; a shard "
-                            "death becomes a typed EnclaveCrash")
     serve.add_argument("--on-death", default="restart",
                        choices=["restart", "rebalance", "degrade",
                                 "fault"],
@@ -571,7 +570,6 @@ def _cmd_serve_sharded(options) -> int:
         engine=options.engine, max_steps=options.max_steps,
         watchdog_steps=options.watchdog_steps,
         max_requests=options.max_requests,
-        recover=not options.no_recover,
         on_death=options.on_death,
         max_restarts=options.max_restarts,
         spawn_timeout=options.spawn_timeout,
@@ -595,7 +593,7 @@ def _cmd_serve_sharded(options) -> int:
     print(f"serve: routing {options.host}:{port} over "
           f"{options.shards} shard(s) (batch={options.batch}, "
           f"queue-depth={options.queue_depth}, "
-          f"recover={'on' if config.recover else 'off'})",
+          f"on-death={config.on_death})",
           flush=True)
     in_main = threading.current_thread() is threading.main_thread()
     previous_handler = None

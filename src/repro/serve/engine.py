@@ -67,10 +67,11 @@ class SecureKVEngine:
         :func:`compile_secure_kv`); compiled on demand if omitted.
     engine:
         Interpreter engine name (``decoded``/``traced``/``legacy``),
-        like the CLI's ``--engine``.  Serving defaults to ``traced``
-        (the drive loop re-enters the same hot KV chunks thousands of
-        times, exactly what the trace tier amortizes); ``REPRO_ENGINE``
-        still wins when set.
+        like the CLI's ``--engine``.  Serving defaults to ``decoded``:
+        a served drive never stays in one loop long enough for the
+        trace tier to compile a region (``interp.trace.compiled`` is 0
+        under load), so ``traced`` only adds its guard overhead and
+        stays opt-in.  ``REPRO_ENGINE`` still wins when set.
     max_steps:
         Per-drive scheduler step budget.
     watchdog_steps:
@@ -85,7 +86,7 @@ class SecureKVEngine:
                  max_steps: int = 50_000_000,
                  watchdog_steps: Optional[int] = None):
         if engine is None:
-            engine = os.environ.get("REPRO_ENGINE") or "traced"
+            engine = os.environ.get("REPRO_ENGINE") or "decoded"
         self.program = program if program is not None \
             else compile_secure_kv()
         self._feed: deque = deque()

@@ -7,9 +7,10 @@
   processes, each hosting a complete partitioned-KV stack — its own
   compiled program, enclave runtime, untrusted store and batching
   loop — behind a loopback port.  Each worker owns a private
-  interpreter and a private (smaller) enclave index, so shards run
-  in parallel on multicore hosts *and* every operation walks a chain
-  that is ~N times shorter than the single-process index would be.
+  interpreter and a private enclave index, so shards run in parallel
+  on multicore hosts.  The index's work per operation does not
+  depend on how many keys it holds, so sharding buys parallelism,
+  not cheaper operations.
 
 * **The router** (this module): accepts client connections with the
   ordinary request framing, consistent-hashes every key over the
@@ -73,7 +74,7 @@ same state.  A dead process is handled per ``on_death``:
   while the surviving keyspace serves normally.  ``request_readd``
   restores the stranded keys.
 * ``fault`` — the death is a typed
-  :class:`~repro.errors.EnclaveCrash` (the old ``recover=False``).
+  :class:`~repro.errors.EnclaveCrash`.
 
 Either way: never a silently-wrong answer.
 """
@@ -151,7 +152,6 @@ class RouterConfig:
     #: this is dead (None disables the check).
     forward_timeout: Optional[float] = None
     replicas: int = 64             # ring points per shard
-    recover: bool = True           # legacy: False forces on_death="fault"
     #: Confirmed-death policy: restart | rebalance | degrade | fault.
     on_death: str = "restart"
     max_restarts: int = 3          # consecutive-recovery breaker budget
@@ -277,10 +277,6 @@ class ShardRouter:
                 f"unknown on_death policy "
                 f"{self.config.on_death!r} (expected one of "
                 f"{', '.join(DEATH_POLICIES)})")
-        #: The effective death policy; the legacy ``recover=False``
-        #: switch maps onto "fault".
-        self.on_death = self.config.on_death \
-            if self.config.recover else "fault"
         self.registry = registry if registry is not None \
             else MetricsRegistry()
         self.tracer = tracer
@@ -881,9 +877,10 @@ class ShardRouter:
                 f"{shard.breaker.failures} consecutive failures "
                 f"(budget {self.config.max_restarts}); last: {why}")
         external = self.config.external_shards is not None
+        policy = self.config.on_death
         if process_alive or (external and (
                 self.config.external_reconnect
-                or self.on_death in ("rebalance", "degrade"))):
+                or policy in ("rebalance", "degrade"))):
             try:
                 self._reconnect_shard(shard)
                 return
@@ -893,14 +890,12 @@ class ShardRouter:
                     proc.kill()
                     exit_code = proc.wait()
                     process_alive = False
-                if external and self.on_death not in ("rebalance",
-                                                      "degrade"):
+                if external and policy not in ("rebalance", "degrade"):
                     raise EnclaveCrash(
                         f"shard {shard.index} died ({why}) and its "
                         f"external endpoint refused reconnection; "
                         f"external shards cannot be respawned")
-        if external and self.on_death not in ("rebalance",
-                                              "degrade"):
+        if external and policy not in ("rebalance", "degrade"):
             raise EnclaveCrash(
                 f"shard {shard.index} died ({why}, exit "
                 f"{exit_code}) with {len(shard.inflight)} "
@@ -909,11 +904,11 @@ class ShardRouter:
             if proc.stdout is not None:
                 proc.stdout.close()
             shard.proc = None
-        if self.on_death == "restart" and not external:
+        if policy == "restart" and not external:
             self._restart_shard(shard)
-        elif self.on_death == "rebalance":
+        elif policy == "rebalance":
             self._rebalance_away(shard, why)
-        elif self.on_death == "degrade":
+        elif policy == "degrade":
             self._degrade_shard(shard, why)
         else:
             raise EnclaveCrash(

@@ -29,8 +29,17 @@ Coloring notes (all paper rules, found the hard way):
   server cross-checks every response against it.
 """
 
-#: Number of hash buckets in the enclave-side index.
-NBUCKETS = 64
+#: Number of hash buckets in the enclave-side index.  A prime: every
+#: key digest is odd (:meth:`~repro.serve.engine.SecureKVEngine.digest`
+#: forces the low bit), and odd values modulo an even count only ever
+#: land in the odd buckets, so a power of two would leave half the
+#: array empty and double every chain.  Modulo a prime the odd digests
+#: reach every bucket, with no extra IR instruction in the enclave.
+#: Near 4K buckets the chain walk, and so the enclave work per
+#: operation, stays flat up to ~16K resident keys (BENCH_serve.json,
+#: ``index``); the array is sized once at compile time, before the
+#: server knows its preload.
+NBUCKETS = 4093
 
 #: Request opcodes of the feed protocol (``next_request`` values).
 OP_GET = 1

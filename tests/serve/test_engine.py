@@ -1,9 +1,14 @@
 """SecureKVEngine: the persistent partitioned KV app behind the
-server — batching, persistence across drives, context retirement."""
+server — batching, persistence across drives, context retirement,
+and an enclave index whose work per operation is flat in the
+keyspace."""
+
+import random
 
 import pytest
 
 from repro.serve.engine import SecureKVEngine, compile_secure_kv
+from repro.serve.secure_source import NBUCKETS
 
 
 @pytest.fixture(scope="module")
@@ -88,3 +93,45 @@ def test_digest_is_stable_nonzero_and_56bit():
     assert 0 < d1 < (1 << 56)
     assert SecureKVEngine.digest("text") == \
         SecureKVEngine.digest(b"text")
+
+
+# -- the enclave index ------------------------------------------------------------
+
+
+def steps_per_op(program, records, ops=512):
+    """Interpreter steps per operation of a seeded 50/50 get/set mix
+    over ``records`` preloaded keys, driven in 16-op batches."""
+    engine = SecureKVEngine(program=program)
+    keys = [f"user{i}" for i in range(records)]
+    for start in range(0, records, 16):
+        engine.execute([("set", key, b"v")
+                        for key in keys[start:start + 16]])
+    rng = random.Random(7)
+    mix = [("get", rng.choice(keys)) if rng.random() < 0.5
+           else ("set", rng.choice(keys), b"w") for _ in range(ops)]
+    before = engine.steps
+    for start in range(0, ops, 16):
+        engine.execute(mix[start:start + 16])
+    return (engine.steps - before) / ops
+
+
+def test_digests_reach_every_bucket():
+    # Every digest is odd (the forced low bit), so an even bucket
+    # count would leave the even buckets empty; the prime reaches
+    # them all.
+    used = {SecureKVEngine.digest(f"user{i}") % NBUCKETS
+            for i in range(4 * NBUCKETS)}
+    assert len(used) >= 0.9 * NBUCKETS
+
+
+def test_steps_per_op_are_flat_in_the_keyspace(program):
+    small = steps_per_op(program, 64)
+    large = steps_per_op(program, 4096)
+    assert large <= 1.5 * small, (small, large)
+
+
+@pytest.mark.slow
+def test_steps_per_op_at_16k_keys_within_2x_of_64(program):
+    small = steps_per_op(program, 64)
+    large = steps_per_op(program, 16384)
+    assert large <= 2.0 * small, (small, large)
