@@ -52,8 +52,31 @@ REPRO_VERIFY_EACH_PASS=1 python -m repro compile examples/fig7.c \
     2> /dev/null
 grep -q "pipeline.pass.seconds\[mem2reg\]" /tmp/repro-pipeline.out
 grep -q "pipeline.pass.runs\[dce\]" /tmp/repro-pipeline.out
+# The default pipeline reports how many specializations the secure
+# type analysis visited.
+python -m repro compile examples/fig7.c --mode relaxed --stats \
+    > /tmp/repro-pipeline.out 2> /dev/null
+grep -q "pipeline.pass.function_visits\[secure-types\]" \
+    /tmp/repro-pipeline.out
 echo "cli smoke: pass pipeline OK (per-pass metrics present)"
 rm -f /tmp/repro-pipeline.out
+
+# Lexer smoke: a source ending in a numeric literal once made the
+# lexer loop forever; it must fail fast with a frontend error (exit 1,
+# not the 124 of the timeout).
+END_NUM=$(mktemp /tmp/repro-endnum.XXXXXX.c)
+printf 'int main() {\n    return 1' > "$END_NUM"
+status=0
+timeout 10 python -m repro compile "$END_NUM" > /dev/null \
+    2> /tmp/repro-endnum.err || status=$?
+if [ "$status" -ne 1 ] || \
+        ! grep -q "^error: 2:13: expected ';'" /tmp/repro-endnum.err; then
+    echo "lexer smoke: expected exit 1 with a frontend error, got" \
+        "$status: $(cat /tmp/repro-endnum.err)" >&2
+    exit 1
+fi
+rm -f "$END_NUM" /tmp/repro-endnum.err
+echo "lexer smoke: source ending in a number fails fast (exit 1)"
 
 # Chaos smoke: a fixed-seed differential sweep on Fig 7 — every
 # seeded fault schedule must end identical to the fault-free run or

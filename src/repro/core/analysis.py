@@ -31,7 +31,8 @@ typing rule is violated.  It is organised exactly like the paper:
   calls.
 
 * **Stabilizing algorithm** (§5.2): whole-module passes repeat until
-  no pass infers a new color.
+  no pass infers a new color; a pass visits only the specializations
+  whose visit could still change something (``FunctionAnalysis.dirty``).
 
 The analysis also computes, for the partitioner:
 
@@ -177,6 +178,13 @@ class FunctionAnalysis:
         #: a colored argument counts (paper: colorset(f$blue) = {blue}
         #: "because f receives a blue argument").
         self.color_set: Set[str] = set()
+        #: True while a visit may still change this specialization: it
+        #: is new, its last local fixpoint hit the cap, or the return
+        #: color of one of its callees changed since (§5.2 rounds skip
+        #: clean specializations — a visit would re-derive their state)
+        self.dirty = True
+        #: specializations whose calls read this one's return color
+        self.callers: Set["FunctionAnalysis"] = set()
         for arg, color in zip(fn.args, arg_colors):
             self.reg_colors[arg] = color
             if color != F:
@@ -223,6 +231,8 @@ class AnalysisResult:
         self.entry_specs: Dict[str, str] = {}
         self.errors: List[SecureTypeError] = []
         self.passes = 0
+        #: local fixpoints run (one per visit of a specialization)
+        self.function_visits = 0
         #: names of functions whose address is taken (indirect-call
         #: targets); their U-specialization is forced (§6.3).
         self.address_taken: Set[str] = set()
@@ -388,9 +398,14 @@ class _Analyzer:
             self.result.passes += 1
             self.changed = False
             # Iterate over a snapshot: specializations discovered in
-            # this pass are analyzed in the next one.
+            # this pass are analyzed in the next one.  A clean one is
+            # skipped: its visit depends only on its own state and its
+            # callees' return colors, so it would change nothing and
+            # only repeat (deduplicated) errors.
             for name in list(self.result.functions):
-                self.analyze_function(self.result.functions[name])
+                fa = self.result.functions[name]
+                if fa.dirty:
+                    self.analyze_function(fa)
             if not self.changed:
                 break
         else:
@@ -419,6 +434,8 @@ class _Analyzer:
         fn = fa.fn
         if fn.is_declaration:
             return
+        self.result.function_visits += 1
+        fa.dirty = False
         # Local fixpoint: loops feed colors backwards through phis.
         for _ in range(30):
             before = self.changed
@@ -431,6 +448,8 @@ class _Analyzer:
             self.changed = before or local_changed
             if not local_changed:
                 break
+        else:
+            fa.dirty = True
 
     def _compute_block_colors(self, fa: FunctionAnalysis) -> None:
         """Rule 4 (§6.1.1): blocks control-dependent on a conditional
@@ -639,6 +658,8 @@ class _Analyzer:
             if fa.return_color == F and color != F:
                 fa.return_color = color
                 self.changed = True
+                for caller in fa.callers:
+                    caller.dirty = True
             elif fa.return_color != F and color != F and \
                     color != fa.return_color:
                 self.error("ret", f"function returns both "
@@ -681,6 +702,7 @@ class _Analyzer:
             template = callee
         arg_colors = tuple(fa.color_of(a) for a in instr.args)
         callee_fa = self.get_specialization(template, arg_colors)
+        callee_fa.callers.add(fa)
         if callee_fa.return_color != F:
             self.assign(fa, instr, callee_fa.return_color, "call", instr)
         # The call itself spans chunks; the partitioner places it per

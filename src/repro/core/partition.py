@@ -49,7 +49,7 @@ from repro.core.analysis import (
     REPLICATED,
 )
 from repro.core.colors import F, HARDENED, S, U, is_named, is_untrusted
-from repro.ir.cfg import DominatorTree
+from repro.ir.cfg import DominatorTree, predecessor_map, reachable_blocks
 from repro.ir.instructions import (
     Alloca,
     Branch,
@@ -681,17 +681,17 @@ class Partitioner:
             jump = Jump(target)
             new_block.append(jump)
         # Drop now-unreachable blocks and fix phis.
-        from repro.ir.cfg import reachable_blocks
         reachable = reachable_blocks(clone)
         removed: Set[BasicBlock] = set()
         for new_block in list(clone.blocks):
             if new_block in reachable:
                 continue
             removed.add(new_block)
+        pred_map = predecessor_map(clone)
         for new_block in clone.blocks:
             if new_block in removed:
                 continue
-            preds = set(new_block.predecessors)
+            preds = set(pred_map[new_block])
             for phi in list(new_block.phis):
                 keep = [(v, b) for v, b in phi.incomings if b in preds]
                 if len(keep) == len(phi.incomings):

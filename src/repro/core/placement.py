@@ -60,6 +60,7 @@ from repro.core.partition import (
     chunk_name,
 )
 from repro.errors import PlacementError
+from repro.ir.cfg import predecessor_map
 from repro.ir.instructions import Call, Instruction, Load, Store
 from repro.ir.module import Function
 from repro.ir.values import GlobalVariable, Value
@@ -182,9 +183,10 @@ class PartitionGraph:
             dom = self.planner.cache.dominators(fn)
         except Exception:
             return {block: 1.0 for block in fn.blocks}
+        preds = predecessor_map(fn)
         for head in fn.blocks:
             try:
-                backs = [p for p in head.predecessors
+                backs = [p for p in preds[head]
                          if p in depths and dom.dominates(head, p)]
             except Exception:
                 continue
@@ -197,7 +199,7 @@ class PartitionGraph:
                 if block in body or block not in depths:
                     continue
                 body.add(block)
-                stack.extend(block.predecessors)
+                stack.extend(preds[block])
             for block in body:
                 depths[block] += 1
         return {block: float(LOOP_WEIGHT ** min(depth, LOOP_DEPTH_CAP))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from typing import Iterator, List, NamedTuple
 
 from repro.errors import FrontendError
@@ -23,6 +24,15 @@ OPERATORS = [
     "+", "-", "*", "/", "%", "=", "<", ">", "!", "~", "&", "|", "^",
     "?", ":", ";", ",", ".", "(", ")", "[", "]", "{", "}",
 ]
+
+#: Whitespace, ``//`` and ``#`` lines (preprocessor lines are ignored:
+#: the color macro of the paper is a language keyword here) and closed
+#: ``/* */`` comments.  An unterminated ``/*`` is left for the error.
+_TRIVIA = re.compile(r"(?:[ \t\r\n]+|//[^\n]*|#[^\n]*|/\*.*?\*/)+", re.S)
+#: The rest of an identifier or keyword (``str.isalnum`` or ``_``).
+_WORD = re.compile(r"\w+")
+#: Alternatives are tried in order, so longest-first keeps maximal munch.
+_OPERATOR = re.compile("|".join(re.escape(op) for op in OPERATORS))
 
 
 class Token(NamedTuple):
@@ -64,12 +74,12 @@ class Lexer:
 
     def _advance(self, n: int = 1) -> str:
         text = self.source[self.pos:self.pos + n]
-        for ch in text:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
+        newlines = text.count("\n")
+        if newlines:
+            self.line += newlines
+            self.column = len(text) - text.rfind("\n")
+        else:
+            self.column += len(text)
         self.pos += n
         return text
 
@@ -78,34 +88,20 @@ class Lexer:
         return self.source[index] if index < len(self.source) else ""
 
     def _skip_trivia(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self.pos < len(self.source) and not (
-                        self._peek() == "*" and self._peek(1) == "/"):
-                    self._advance()
-                if self.pos >= len(self.source):
-                    raise self._error("unterminated block comment")
-                self._advance(2)
-            elif ch == "#":
-                # Preprocessor lines are ignored (the color macro of the
-                # paper is a language keyword here).
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
+        match = _TRIVIA.match(self.source, self.pos)
+        if match:
+            self._advance(match.end() - self.pos)
+        if self.source.startswith("/*", self.pos):
+            self._advance(len(self.source) - self.pos)
+            raise self._error("unterminated block comment")
 
     def _next_token(self) -> Token:
         line, column = self.line, self.column
-        ch = self._peek()
+        ch = self.source[self.pos]
         if ch.isalpha() or ch == "_":
-            text = self._lex_word()
+            text = _WORD.match(self.source, self.pos).group()
+            self.pos += len(text)
+            self.column += len(text)
             kind = "kw" if text in KEYWORDS else "ident"
             return Token(kind, text, text, line, column)
         if ch.isdigit():
@@ -114,18 +110,13 @@ class Lexer:
             return self._lex_string(line, column)
         if ch == "'":
             return self._lex_char(line, column)
-        for op in OPERATORS:
-            if self.source.startswith(op, self.pos):
-                self._advance(len(op))
-                return Token("op", op, op, line, column)
+        match = _OPERATOR.match(self.source, self.pos)
+        if match:
+            op = match.group()
+            self.pos += len(op)
+            self.column += len(op)
+            return Token("op", op, op, line, column)
         raise self._error(f"unexpected character {ch!r}")
-
-    def _lex_word(self) -> str:
-        start = self.pos
-        while self.pos < len(self.source) and (
-                self._peek().isalnum() or self._peek() == "_"):
-            self._advance()
-        return self.source[start:self.pos]
 
     def _lex_number(self, line: int, column: int) -> Token:
         start = self.pos
@@ -152,7 +143,7 @@ class Lexer:
             while self._peek().isdigit():
                 self._advance()
         text = self.source[start:self.pos]
-        while self._peek() in "uUlLfF":  # suffixes are ignored
+        while self._peek() and self._peek() in "uUlLfF":  # ignored suffixes
             suffix = self._advance()
             if suffix in "fF":
                 is_float = True

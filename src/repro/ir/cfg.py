@@ -11,7 +11,7 @@ postdominator.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ir.module import BasicBlock, Function
 
@@ -38,6 +38,20 @@ def reachable_blocks(fn: Function) -> Set[BasicBlock]:
     return set(reverse_postorder(fn))
 
 
+def predecessor_map(fn: Function) -> Dict[BasicBlock, List[BasicBlock]]:
+    """The predecessors of every block of ``fn``, from one sweep over
+    the successor edges: each predecessor listed once (``br c, X, X``
+    is one edge into X), in block layout order — the same lists as
+    :attr:`BasicBlock.predecessors`, for all blocks at once."""
+    preds: Dict[BasicBlock, List[BasicBlock]] = {b: [] for b in fn.blocks}
+    for block in fn.blocks:
+        for succ in block.successors:
+            into = preds.setdefault(succ, [])
+            if not into or into[-1] is not block:
+                into.append(block)
+    return preds
+
+
 class DominatorTree:
     """Immediate-dominator tree of a function's CFG.
 
@@ -55,17 +69,21 @@ class DominatorTree:
 
     # -- construction -----------------------------------------------------------
 
-    def _preds(self, block: BasicBlock) -> List[BasicBlock]:
-        return block.successors if self.post else block.predecessors
+    def _edges(self) -> Tuple[Dict[BasicBlock, List[BasicBlock]],
+                              Dict[BasicBlock, List[BasicBlock]]]:
+        """(in-edges, out-edges) of every block in the direction
+        analyzed, from one sweep over the CFG.  Not kept: a cached
+        tree holds no copy of the edges."""
+        preds = predecessor_map(self.fn)
+        succs = {b: b.successors for b in preds}
+        return (succs, preds) if self.post else (preds, succs)
 
-    def _succs(self, block: BasicBlock) -> List[BasicBlock]:
-        return block.predecessors if self.post else block.successors
-
-    def _roots(self) -> List[BasicBlock]:
+    def _roots(self, edges_in) -> List[BasicBlock]:
         if not self.post:
             return [self.fn.entry_block]
+        # Exit blocks: no in-edges on the reversed CFG.
         return [b for b in self.fn.blocks
-                if not b.successors and b.is_terminated]
+                if not edges_in[b] and b.is_terminated]
 
     #: Virtual super-root joining multiple (post)dominator roots —
     #: functions with several exit blocks postdominate to it.
@@ -74,10 +92,12 @@ class DominatorTree:
     def _compute(self) -> None:
         if not self.fn.blocks:
             return
-        order = self._order()
+        edges_in, edges_out = self._edges()
+        roots = self._roots(edges_in)
+        order = self._order(roots, edges_out)
         index = {b: i for i, b in enumerate(order)}
         index[self._VIRTUAL] = -1
-        roots = [r for r in self._roots() if r in index]
+        roots = [r for r in roots if r in index]
         idom: Dict[object, object] = {self._VIRTUAL: self._VIRTUAL}
         for r in roots:
             idom[r] = self._VIRTUAL
@@ -88,7 +108,7 @@ class DominatorTree:
             for block in order:
                 if block in roots:
                     continue
-                preds = [p for p in self._preds(block) if p in idom]
+                preds = [p for p in edges_in[block] if p in idom]
                 if not preds:
                     continue
                 new_idom = preds[0]
@@ -102,7 +122,7 @@ class DominatorTree:
             b: (None if d is self._VIRTUAL or b in roots else d)
             for b, d in idom.items() if b is not self._VIRTUAL}
 
-    def _order(self) -> List[BasicBlock]:
+    def _order(self, roots, edges_out) -> List[BasicBlock]:
         """Reverse postorder of the (possibly reversed) CFG over all
         blocks reachable from the roots."""
         visited: Set[BasicBlock] = set()
@@ -110,12 +130,12 @@ class DominatorTree:
 
         def visit(block: BasicBlock) -> None:
             visited.add(block)
-            for nxt in self._succs(block):
+            for nxt in edges_out[block]:
                 if nxt not in visited:
                     visit(nxt)
             order.append(block)
 
-        for root in self._roots():
+        for root in roots:
             if root not in visited:
                 visit(root)
         order.reverse()
@@ -149,8 +169,9 @@ class DominatorTree:
         """Dominance frontier of every block (Cytron et al.)."""
         df: Dict[BasicBlock, Set[BasicBlock]] = {
             b: set() for b in self.idom}
+        edges_in, _ = self._edges()
         for block in self.idom:
-            preds = [p for p in self._preds(block) if p in self.idom]
+            preds = [p for p in edges_in[block] if p in self.idom]
             if len(preds) < 2:
                 continue
             for pred in preds:

@@ -104,9 +104,8 @@ class Instruction(Value):
 
     # -- classification ------------------------------------------------------
 
-    @property
-    def is_terminator(self) -> bool:
-        return isinstance(self, (Branch, Jump, Ret, Unreachable))
+    #: True on the block terminators (Branch, Jump, Ret, Unreachable).
+    is_terminator = False
 
     @property
     def has_side_effects(self) -> bool:
@@ -305,6 +304,7 @@ class Branch(Instruction):
     """Conditional branch ``br cond, then_block, else_block``."""
 
     opcode = "br"
+    is_terminator = True
 
     def __init__(self, cond: Value, then_block, else_block):
         super().__init__(VOID, (cond,))
@@ -324,6 +324,7 @@ class Jump(Instruction):
     """Unconditional branch ``jmp block``."""
 
     opcode = "jmp"
+    is_terminator = True
 
     def __init__(self, target):
         super().__init__(VOID, ())
@@ -338,6 +339,7 @@ class Ret(Instruction):
     """``ret v`` or ``ret void``."""
 
     opcode = "ret"
+    is_terminator = True
 
     def __init__(self, value: Optional[Value] = None):
         super().__init__(VOID, (value,) if value is not None else ())
@@ -355,6 +357,7 @@ class Unreachable(Instruction):
     """Marks statically unreachable control flow."""
 
     opcode = "unreachable"
+    is_terminator = True
 
     def __init__(self):
         super().__init__(VOID, ())

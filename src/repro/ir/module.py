@@ -79,7 +79,7 @@ class BasicBlock:
         term = self.terminator
         if term is None:
             return []
-        return list(getattr(term, "targets", []))
+        return term.targets
 
     @property
     def predecessors(self) -> List["BasicBlock"]:

@@ -18,7 +18,7 @@ sees the same influenced regions before and after.
 
 from __future__ import annotations
 
-from repro.ir.cfg import reachable_blocks
+from repro.ir.cfg import predecessor_map, reachable_blocks
 from repro.ir.instructions import Branch, Jump, Phi
 from repro.ir.module import Function, Module
 from repro.ir.values import Constant, UndefValue
@@ -107,6 +107,7 @@ def _merge_chains(fn: Function) -> int:
     restart = True
     while restart:
         restart = False
+        preds = predecessor_map(fn)
         for block in fn.blocks:
             term = block.terminator
             if not isinstance(term, Jump):
@@ -114,7 +115,7 @@ def _merge_chains(fn: Function) -> int:
             succ = term.target
             if succ is block or succ is fn.entry_block:
                 continue
-            if len(succ.predecessors) != 1:
+            if len(preds[succ]) != 1:
                 continue
             # Single predecessor: phis in succ are trivial.
             for phi in list(succ.phis):

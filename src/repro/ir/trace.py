@@ -86,6 +86,7 @@ from repro.ir.instructions import (
     Store,
 )
 from repro.ir.interp import _INT64_MASK, _trunc_div, ExecutionContext, Machine
+from repro.ir.cfg import predecessor_map
 from repro.ir.module import BasicBlock, Function
 from repro.ir.types import ArrayType, IntType, StructType
 from repro.ir.values import Constant, UndefValue, Value
@@ -175,13 +176,14 @@ def plan_function(fn: Function,
         order = analysis.reverse_postorder(fn)
     except Exception:
         return ()
+    preds = predecessor_map(fn)
     regions: List[Tuple[BasicBlock, ...]] = []
     claimed: set = set()
     for head in order:
         if head in claimed:
             continue
         try:
-            backs = [p for p in head.predecessors
+            backs = [p for p in preds[head]
                      if dom.dominates(head, p)]
         except Exception:
             continue  # unreachable predecessors etc.
@@ -194,7 +196,7 @@ def plan_function(fn: Function,
             if b in loop:
                 continue
             loop.add(b)
-            stack.extend(b.predecessors)
+            stack.extend(preds[b])
         chain = _straight_chain(head, loop)
         if chain is None:
             continue

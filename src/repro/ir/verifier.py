@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import List, Optional, Set
 
 from repro.errors import IRError
+from repro.ir.cfg import predecessor_map
 from repro.ir.instructions import Instruction, Load, Phi, Store
 from repro.ir.module import BasicBlock, Function, Module
 from repro.ir.printer import print_instruction
@@ -70,10 +71,11 @@ def _check_terminators(fn: Function, members: Set[BasicBlock]) -> None:
 
 def _check_phis(fn: Function, reachable: Set[BasicBlock],
                 members: Set[BasicBlock]) -> None:
+    pred_map = predecessor_map(fn)
     for block in fn.blocks:
         if block not in reachable:
             continue
-        preds = set(block.predecessors)
+        preds = set(pred_map[block])
         seen_non_phi = False
         for instr in block.instructions:
             if isinstance(instr, Phi):

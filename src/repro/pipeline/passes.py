@@ -128,7 +128,8 @@ class SecureTypeAnalysisPass(Pass):
                                       entries=ctx.entries, check=False,
                                       cache=ctx.cache)
         return {"analysis_passes": ctx.analysis.passes,
-                "analysis_errors": len(ctx.analysis.errors)}
+                "analysis_errors": len(ctx.analysis.errors),
+                "function_visits": ctx.analysis.function_visits}
 
 
 class OptimizePlacementPass(Pass):
