@@ -17,7 +17,8 @@ Measures interpreted steps/sec on three workloads:
 Results go to ``BENCH_interp.json`` at the repo root so future PRs
 have a perf trajectory, and to the usual benchmark report.  Smoke
 mode (``REPRO_BENCH_SMOKE=1`` or ``--smoke``) shrinks the workloads
-to run in well under a second for CI.
+to run in well under a second for CI, writes
+``BENCH_interp.smoke.json`` and leaves the committed report alone.
 """
 
 import json
@@ -231,7 +232,8 @@ def regenerate_dispatch_report() -> Report:
 
 def bench_interp_dispatch(benchmark):
     report = benchmark(regenerate_dispatch_report)
-    report.write()
+    if not SMOKE:
+        report.write()
 
 
 if __name__ == "__main__":
@@ -241,5 +243,8 @@ if __name__ == "__main__":
         os.environ["REPRO_BENCH_SMOKE"] = "1"
         os.execv(sys.executable, [sys.executable, __file__])
     report = regenerate_dispatch_report()
-    report.write()
+    if not SMOKE:
+        # Smoke figures are plumbing checks, not results: leave the
+        # committed report alone.
+        report.write()
     print(report.text())

@@ -4,7 +4,7 @@ For three workloads — the paper's Figure 6/7 running example
 (relaxed), the minicache application (hardened, ``run_cache(50)``)
 and the served KV engine (hardened, a deterministic op trace through
 ``secure_batch``) — this benchmark compiles the program once per
-placement policy (``none`` / ``kl`` / ``profile``) and measures what
+placement policy (``none`` / ``kl``) and measures what
 the optimizer actually changed:
 
 * **messages** — runtime protocol messages observed on the channel
@@ -16,10 +16,6 @@ the optimizer actually changed:
   enclave must carry),
 * **modeled cost** — the SGX cost model's cycle estimate for the
   static protocol traffic (``repro.core.placement.PartitionGraph``).
-
-The ``profile`` arm closes the loop the CLI exposes as
-``--profile-out`` / ``--profile-in``: the fault-free ``none`` run's
-measured channel traffic becomes the profile the policy consumes.
 
 The hard safety rail rides along: for every workload, every optimized
 arm must produce byte-identical results and stdout on all three
@@ -46,8 +42,7 @@ from repro.bench import Report
 from repro.core.colors import HARDENED, RELAXED
 from repro.core.compiler import PrivagicCompiler
 from repro.core.placement import (optimize_placement, partition_stats,
-                                  placement_report,
-                                  profile_from_runtime)
+                                  placement_report)
 from repro.runtime import run_partitioned
 from repro.serve.engine import SecureKVEngine
 
@@ -55,7 +50,7 @@ pytestmark = pytest.mark.slow
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
-POLICY_ARMS = ("none", "kl", "profile")
+POLICY_ARMS = ("none", "kl")
 ENGINES = ("decoded", "traced", "legacy")
 
 MINICACHE_OPS = 50
@@ -127,11 +122,9 @@ def _measure_workload(name, mode, source, run_fn):
     engine, assert the differential rail, and collect the metrics."""
     arms = {}
     baselines = None
-    profile = None
     for policy in POLICY_ARMS:
         compiler = PrivagicCompiler(
-            mode, optimize=None if policy == "none" else policy,
-            profile=profile if policy == "profile" else None)
+            mode, optimize=None if policy == "none" else policy)
         program = compiler.compile_source(source)
         runs = {engine: run_fn(program, engine) for engine in ENGINES}
         for engine in ENGINES:
@@ -147,9 +140,6 @@ def _measure_workload(name, mode, source, run_fn):
                 f"the none-policy baseline")
         if policy == "none":
             baselines = runs
-            # The profile arm consumes the traffic this run measured
-            # (the --profile-out / --profile-in round trip).
-            profile = profile_from_runtime(runs["decoded"]["runtime"])
             _, graph, decisions = optimize_placement(
                 compiler.analysis, "none")
             report = placement_report(graph, decisions)

@@ -357,7 +357,7 @@ best = 0.0
 for name, workload in workloads.items():
     arms = workload["policies"]
     none = arms["none"]
-    for policy in ("kl", "profile"):
+    for policy in ("kl",):
         arm = arms[policy]
         assert arm["modeled_cost_cycles"] <= none["modeled_cost_cycles"], \
             f"{name}/{policy}: modeled cost regressed vs none"

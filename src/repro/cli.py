@@ -57,14 +57,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="print a per-pass wall-time table (stderr)")
     parser.add_argument("--optimize", metavar="POLICY", default=None,
                         help="placement policy for the "
-                             "optimize-placement pass: none (default), "
-                             "kl (Kernighan-Lin boundary refinement) "
-                             "or profile (needs --profile-in)")
-    parser.add_argument("--profile-in", metavar="PROFILE.json",
-                        default=None,
-                        help="measured traffic profile from a prior "
-                             "run's --profile-out; drives "
-                             "--optimize profile")
+                             "optimize-placement pass: none (default) "
+                             "or kl (Kernighan-Lin boundary "
+                             "refinement)")
     parser.add_argument("--partition-stats", action="store_true",
                         help="print the per-color partition table "
                              "(chunks, instructions, TCB, boundary "
@@ -122,10 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "(load in chrome://tracing or Perfetto)")
     run.add_argument("--stats", action="store_true",
                      help="print the full metrics dump after the run")
-    run.add_argument("--profile-out", metavar="PROFILE.json",
-                     default=None,
-                     help="write the measured per-channel traffic "
-                          "after the run (feeds --optimize profile)")
     run.add_argument("args", nargs="*", type=int,
                      help="integer arguments for the entry point")
 
@@ -277,19 +268,12 @@ def _frontend_for(options):
     return resolve_frontend(options.frontend, options.file)
 
 
-def _profile_for(options) -> Optional[dict]:
-    if getattr(options, "profile_in", None) is None:
-        return None
-    from repro.core.placement import load_profile
-    return load_profile(options.profile_in)
-
-
 def _compiler_for(options, **kwargs) -> PrivagicCompiler:
     return PrivagicCompiler(
         mode=options.mode, passes=options.passes,
         time_passes=options.time_passes,
         print_after_each=options.print_after_each,
-        optimize=options.optimize, profile=_profile_for(options),
+        optimize=options.optimize,
         **kwargs)
 
 
@@ -313,8 +297,7 @@ def cmd_analyze(options) -> int:
                           time_passes=options.time_passes,
                           print_after_each=options.print_after_each)
     ctx = manager.run(module, mode=options.mode,
-                      optimize=options.optimize,
-                      profile=_profile_for(options))
+                      optimize=options.optimize)
     result = ctx.analysis
     if result is None:
         print("pipeline ran no 'secure-types' pass; nothing to report",
@@ -436,13 +419,6 @@ def cmd_run(options) -> int:
     print(f"{options.entry}({', '.join(map(str, options.args))}) "
           f"= {result}")
     print(f"messages: {runtime.stats.as_dict()}")
-    if options.profile_out:
-        from repro.core.placement import (profile_from_runtime,
-                                          save_profile)
-        save_profile(options.profile_out,
-                     profile_from_runtime(runtime))
-        print(f"profile: wrote {options.profile_out} "
-              f"({runtime.stats.messages} message(s) measured)")
     if options.partition_stats:
         _print_partition_stats(compiler.context, program)
     if injector is not None:

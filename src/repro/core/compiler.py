@@ -57,8 +57,7 @@ class PrivagicCompiler:
                  time_passes: bool = False,
                  print_after_each: bool = False,
                  metrics=None, tracer=None,
-                 optimize: Optional[str] = None,
-                 profile: Optional[dict] = None):
+                 optimize: Optional[str] = None):
         self.mode = mode
         self.sync_barriers = sync_barriers
         self.passes = passes
@@ -67,11 +66,9 @@ class PrivagicCompiler:
         self.print_after_each = print_after_each
         self.metrics = metrics
         self.tracer = tracer
-        #: Placement policy (``none``/``kl``/``profile``) for the
-        #: ``optimize-placement`` pass, plus the measured traffic the
-        #: ``profile`` policy consumes.
+        #: Placement policy (``none``/``kl``) for the
+        #: ``optimize-placement`` pass.
         self.optimize = optimize
-        self.profile = profile
         self.analysis: Optional[AnalysisResult] = None
         #: The full pipeline context of the last compilation.
         self.context: Optional[CompilationContext] = None
@@ -93,8 +90,7 @@ class PrivagicCompiler:
                                    sync_barriers=self.sync_barriers,
                                    metrics=self.metrics,
                                    tracer=self.tracer,
-                                   optimize=self.optimize,
-                                   profile=self.profile)
+                                   optimize=self.optimize)
         self.analysis = self.context.analysis
         return self.context.program
 
@@ -119,11 +115,10 @@ def compile_and_partition(source: str, mode: str = HARDENED,
                           entries: Optional[Sequence[str]] = None,
                           sync_barriers: bool = True,
                           passes=None, optimize: Optional[str] = None,
-                          profile: Optional[dict] = None,
                           frontend: Optional[str] = None
                           ) -> PartitionedProgram:
     """One-call convenience used by examples and tests."""
     compiler = PrivagicCompiler(mode, sync_barriers, passes=passes,
-                                optimize=optimize, profile=profile)
+                                optimize=optimize)
     return compiler.compile_source(source, entries=entries,
                                    frontend=frontend)

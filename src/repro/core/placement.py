@@ -33,10 +33,6 @@ its function.  This module closes the loop between the SGX cost model
    * ``none`` — today's color-home placement, bit-identical output.
    * ``kl`` — Kernighan–Lin-style boundary refinement: iterative
      gain-ranked moves over the token edges, locking each moved node.
-   * ``profile`` — the same move set, but gains are gated and scaled
-     by *measured* per-channel traffic from a previous run
-     (:func:`profile_from_runtime`, persisted with
-     :func:`save_profile`/:func:`load_profile`).
 
 3. Reporting — :func:`partition_stats` (the per-color table behind
    ``repro analyze --partition-stats``) and :func:`placement_report`
@@ -47,7 +43,6 @@ its function.  This module closes the loop between the SGX cost model
 from __future__ import annotations
 
 import difflib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
@@ -349,11 +344,6 @@ class PartitionGraph:
         return [e for e in self.edges
                 if e.spec == spec and e.kind == "token" and e.src == color]
 
-    def channel_static_count(self, src: str, dst: str,
-                             kind: str) -> float:
-        return sum(e.count for e in self.edges
-                   if e.kind == kind and e.src == src and e.dst == dst)
-
     def message_totals(self) -> Dict[str, float]:
         totals: Dict[str, float] = {"spawn": 0.0, "value": 0.0,
                                     "token": 0.0}
@@ -547,7 +537,8 @@ class KLPolicy(PlacementPolicy):
                                                       tentative)
                                for home in homes):
                         continue
-                    gain = self._gain(graph, spec, node)
+                    gain = sum(e.cycles for e in graph.token_edges_from(
+                        spec, node.color))
                     if gain > best_gain:
                         best, best_gain = node, gain
                 if best is None:
@@ -563,53 +554,11 @@ class KLPolicy(PlacementPolicy):
         verify_decisions(graph, decisions)
         return decisions
 
-    def _gain(self, graph: PartitionGraph, spec: str,
-              node: ChunkNode) -> float:
-        return sum(e.cycles
-                   for e in graph.token_edges_from(spec, node.color))
+
+POLICIES = ("none", "kl")
 
 
-class ProfilePolicy(KLPolicy):
-    """KL move set, but gains gated and scaled by measured traffic.
-
-    A move only has gain if the profiled run actually pushed token
-    messages on the edge's channel; the measured channel count is
-    apportioned to the edge by its share of the channel's static
-    estimate.  Code that a real workload never synchronized through
-    is left alone even when the static model would move it.
-    """
-
-    name = "profile"
-
-    def __init__(self, profile: Optional[dict]):
-        if profile is None:
-            raise PlacementError(
-                "the profile policy needs measured traffic: run once "
-                "with --profile-out, then pass --profile-in")
-        self.channels: Dict[str, Dict[str, int]] = \
-            dict(profile.get("channels", {}))
-
-    def _gain(self, graph: PartitionGraph, spec: str,
-              node: ChunkNode) -> float:
-        gain = 0.0
-        for edge in graph.token_edges_from(spec, node.color):
-            measured = self.channels.get(
-                f"{edge.src}->{edge.dst}", {}).get("token", 0)
-            if measured <= 0:
-                continue
-            static_total = graph.channel_static_count(
-                edge.src, edge.dst, "token")
-            share = edge.count / static_total if static_total else 0.0
-            per_message = edge.cycles / edge.count if edge.count else 0.0
-            gain += measured * share * per_message
-        return gain
-
-
-POLICIES = ("none", "kl", "profile")
-
-
-def policy_by_name(name: str,
-                   profile: Optional[dict] = None) -> PlacementPolicy:
+def policy_by_name(name: str) -> PlacementPolicy:
     """Look up a placement policy by name.
 
     Unknown names raise a :class:`~repro.errors.PlacementError` with a
@@ -621,8 +570,6 @@ def policy_by_name(name: str,
         return NonePolicy()
     if normalized == "kl":
         return KLPolicy()
-    if normalized == "profile":
-        return ProfilePolicy(profile)
     close = difflib.get_close_matches(normalized, POLICIES, n=1,
                                       cutoff=0.4)
     hint = f"; did you mean {close[0]!r}?" if close else ""
@@ -720,43 +667,11 @@ def verify_placement(program: PartitionedProgram) -> None:
                         f"secret-typed code was relocated")
 
 
-# == profiles ==================================================================
-
-PROFILE_VERSION = 1
-
-
-def profile_from_runtime(runtime) -> dict:
-    """Extract a placement profile from a finished runtime: the
-    measured per-channel message counts and kind totals."""
-    return {
-        "version": PROFILE_VERSION,
-        "channels": runtime.channel_traffic(),
-        "messages": runtime.message_stats(),
-    }
-
-
-def save_profile(path: str, profile: dict) -> None:
-    with open(path, "w") as handle:
-        json.dump(profile, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def load_profile(path: str) -> dict:
-    with open(path) as handle:
-        profile = json.load(handle)
-    if not isinstance(profile, dict) or "channels" not in profile:
-        raise PlacementError(
-            f"{path} is not a placement profile (expected a JSON "
-            f"object with a 'channels' map; see --profile-out)")
-    return profile
-
-
 # == driver ====================================================================
 
 
 def optimize_placement(analysis: AnalysisResult, policy: str = "none",
-                       params: Optional[CostParams] = None,
-                       profile: Optional[dict] = None, cache=None):
+                       params: Optional[CostParams] = None, cache=None):
     """Plan the partition, build the graph, run one policy.
 
     Returns ``(planner, graph, decisions)`` — the planner is shared
@@ -765,7 +680,7 @@ def optimize_placement(analysis: AnalysisResult, policy: str = "none",
     """
     planner = PartitionPlanner(analysis, cache=cache).plan()
     graph = PartitionGraph(analysis, planner, params)
-    decisions = policy_by_name(policy, profile=profile).decide(graph)
+    decisions = policy_by_name(policy).decide(graph)
     verify_decisions(graph, decisions)
     return planner, graph, decisions
 

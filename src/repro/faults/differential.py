@@ -169,7 +169,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         choices=["relaxed", "hardened"])
     parser.add_argument("--engines", default="decoded,traced,legacy")
     parser.add_argument("--optimize", default=None, metavar="POLICY",
-                        help="placement policy arm (none/kl/profile): "
+                        help="placement policy arm (none/kl): "
                              "the sweep runs against the optimized "
                              "partition, so optimized placements keep "
                              "the identical-or-typed-fault contract")

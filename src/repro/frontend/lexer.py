@@ -35,6 +35,13 @@ _WORD = re.compile(r"\w+")
 _OPERATOR = re.compile("|".join(re.escape(op) for op in OPERATORS))
 
 
+def is_digit(ch: str) -> bool:
+    """ASCII ``0-9`` only (and False for the empty end-of-input peek):
+    ``str.isdigit`` also admits ``²`` or ``٣``, which ``int()``
+    rejects or reads as a decimal digit."""
+    return "0" <= ch <= "9"
+
+
 class Token(NamedTuple):
     kind: str          # "kw", "ident", "int", "float", "char", "string", "op", "eof"
     text: str
@@ -104,7 +111,7 @@ class Lexer:
             self.column += len(text)
             kind = "kw" if text in KEYWORDS else "ident"
             return Token(kind, text, text, line, column)
-        if ch.isdigit():
+        if is_digit(ch):
             return self._lex_number(line, column)
         if ch == '"':
             return self._lex_string(line, column)
@@ -127,20 +134,20 @@ class Lexer:
                 self._advance()
             text = self.source[start:self.pos]
             return Token("int", text, int(text, 16), line, column)
-        while self._peek().isdigit():
+        while is_digit(self._peek()):
             self._advance()
-        if self._peek() == "." and self._peek(1).isdigit():
+        if self._peek() == "." and is_digit(self._peek(1)):
             is_float = True
             self._advance()
-            while self._peek().isdigit():
+            while is_digit(self._peek()):
                 self._advance()
-        if self._peek() in "eE" and (self._peek(1).isdigit() or (
-                self._peek(1) in "+-" and self._peek(2).isdigit())):
+        if self._peek() in "eE" and (is_digit(self._peek(1)) or (
+                self._peek(1) in "+-" and is_digit(self._peek(2)))):
             is_float = True
             self._advance()
             if self._peek() in "+-":
                 self._advance()
-            while self._peek().isdigit():
+            while is_digit(self._peek()):
                 self._advance()
         text = self.source[start:self.pos]
         while self._peek() and self._peek() in "uUlLfF":  # ignored suffixes

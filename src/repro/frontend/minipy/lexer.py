@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Iterator, List, NamedTuple
 
 from repro.errors import FrontendError
+from repro.frontend.lexer import is_digit
 
 KEYWORDS = frozenset({
     "def", "return", "if", "elif", "else", "while",
@@ -192,7 +193,7 @@ class Lexer:
             elif text == "False":
                 value = 0
             return Token(kind, text, value, line, column)
-        if ch.isdigit():
+        if is_digit(ch):
             return self._lex_number(line, column)
         if ch in "\"'":
             return self._lex_string(line, column)
@@ -221,7 +222,7 @@ class Lexer:
                 self._advance()
             text = self.source[start:self.pos]
             return Token("int", text, int(text, 16), line, column)
-        while self._peek().isdigit():
+        while is_digit(self._peek()):
             self._advance()
         if self._peek() == ".":
             raise self._error("MiniPy has no floats; values are 64-bit "

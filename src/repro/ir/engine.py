@@ -46,7 +46,7 @@ retain every dead function body forever.
 
 from __future__ import annotations
 
-import operator
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Tuple
 
 from repro.errors import IRError, RuntimeFault
@@ -67,9 +67,8 @@ from repro.ir.instructions import (
     Store,
     Unreachable,
 )
+from repro.ir import opsem
 from repro.ir.interp import (
-    _INT64_MASK,
-    _trunc_div,
     BLOCK,
     ExecutionContext,
     Frame,
@@ -77,7 +76,7 @@ from repro.ir.interp import (
     PushCall,
 )
 from repro.ir.module import BasicBlock, Function
-from repro.ir.types import ArrayType, IntType, StructType
+from repro.ir.types import ArrayType, StructType
 from repro.ir.values import Constant, GlobalVariable, UndefValue, Value
 
 #: A decoded instruction: returns True when the context advanced
@@ -399,106 +398,116 @@ def _getter(machine: Machine, value: Value):
     return _kind_getter(kind, payload)
 
 
-# -- pure-operation pre-compilation ----------------------------------------------
+# -- pure ops, generated from the op-semantics table ------------------------------
 
-_CMP_BASE = {
-    "eq": operator.eq, "ne": operator.ne,
-    "lt": operator.lt, "le": operator.le,
-    "gt": operator.gt, "ge": operator.ge,
-}
+#: Operand kinds (see :func:`_operand`) as operand-shape letters.
+_SHAPE = {"reg": "r", "const": "c", "getter": "g"}
 
-
-def _compile_arith(instr: BinOp):
-    """Compile a BinOp into ``fn(lhs, rhs)`` replicating the legacy
-    ``_apply_binop`` semantics (coercions, wrapping, fault messages)."""
-    op = instr.op
-    if op[0] == "f":
-        if op == "fadd":
-            return lambda a, b: float(a) + float(b)
-        if op == "fsub":
-            return lambda a, b: float(a) - float(b)
-        if op == "fmul":
-            return lambda a, b: float(a) * float(b)
-
-        def fdiv(a, b):
-            a, b = float(a), float(b)
-            if b == 0.0:
-                raise RuntimeFault("float division by zero")
-            return a / b
-        return fdiv
-
-    bits = instr.type.bits if isinstance(instr.type, IntType) else 64
-    mask = (1 << bits) - 1
-    sign = 1 << (bits - 1)
-    mod = 1 << bits
-
-    def wrap(r):
-        r &= mask
-        return r - mod if r >= sign else r
-
-    m64 = _INT64_MASK
-    if op == "add":
-        return lambda a, b: wrap(int(a) + int(b))
-    if op == "sub":
-        return lambda a, b: wrap(int(a) - int(b))
-    if op == "mul":
-        return lambda a, b: wrap(int(a) * int(b))
-    if op == "sdiv":
-        def sdiv(a, b):
-            a, b = int(a), int(b)
-            if b == 0:
-                raise RuntimeFault("integer division by zero")
-            return wrap(_trunc_div(a, b))
-        return sdiv
-    if op == "udiv":
-        def udiv(a, b):
-            a, b = int(a), int(b)
-            if b == 0:
-                raise RuntimeFault("integer division by zero")
-            return wrap((a & m64) // (b & m64))
-        return udiv
-    if op == "srem":
-        def srem(a, b):
-            a, b = int(a), int(b)
-            if b == 0:
-                raise RuntimeFault("integer remainder by zero")
-            return wrap(a - _trunc_div(a, b) * b)
-        return srem
-    if op == "urem":
-        def urem(a, b):
-            a, b = int(a), int(b)
-            if b == 0:
-                raise RuntimeFault("integer remainder by zero")
-            return wrap((a & m64) % (b & m64))
-        return urem
-    if op == "and":
-        return lambda a, b: wrap(int(a) & int(b))
-    if op == "or":
-        return lambda a, b: wrap(int(a) | int(b))
-    if op == "xor":
-        return lambda a, b: wrap(int(a) ^ int(b))
-    if op == "shl":
-        return lambda a, b: wrap(int(a) << (int(b) & 63))
-    if op == "lshr":
-        return lambda a, b: wrap((int(a) & m64) >> (int(b) & 63))
-    if op == "ashr":
-        return lambda a, b: wrap(int(a) >> (int(b) & 63))
-    raise RuntimeFault(f"unhandled binop {op}")
+#: (OpSem, shape) -> closure factory, compiled on first use.
+_FACTORIES: Dict[Tuple[opsem.OpSem, str], Callable] = {}
 
 
-def _compile_cmp(instr: Cmp):
-    pred = instr.predicate
-    if pred[0] == "f":
-        cmp = _CMP_BASE[pred[1:]]
-        return lambda a, b: 1 if cmp(float(a), float(b)) else 0
-    if pred[0] == "u":
-        cmp = _CMP_BASE[pred[1:]]
-        m64 = _INT64_MASK
-        return lambda a, b: 1 if cmp(int(a) & m64, int(b) & m64) else 0
-    if pred[0] == "s":
-        pred = pred[1:]
-    cmp = _CMP_BASE[pred]
-    return lambda a, b: 1 if cmp(int(a), int(b)) else 0
+def _factory(sem: opsem.OpSem, shape: str) -> Callable:
+    factory = _FACTORIES.get((sem, shape))
+    if factory is None:
+        factory = _FACTORIES[(sem, shape)] = _build_factory(sem, shape)
+    return factory
+
+
+def _build_factory(sem: opsem.OpSem, shape: str) -> Callable:
+    """Compile ``make(instr, nxt, mask, sign, mod, p0[, p1]) -> op``
+    for one table entry and operand shape.  Operand ``k`` is read as
+    ``values[pk]`` (``r``), is the pre-coerced constant ``pk`` (``c``)
+    or is fetched by the getter ``pk(ctx, frame)`` (``g``; a shape
+    with a getter has only getters, which keeps legacy's
+    left-to-right operand fault order)."""
+    params = [f"p{k}" for k in range(len(shape))]
+    coerce = opsem.COERCE_SOURCE[sem.coerce]
+    body = ["values = frame.values"]
+    operands = []
+    for param, kind in zip(params, shape):
+        if kind == "c":
+            operands.append(param)
+        elif kind == "r":
+            operands.append(coerce.format(f"values[{param}]"))
+        else:
+            body.append(f"g{param} = {param}(ctx, frame)")
+            operands.append(coerce.format(f"g{param}"))
+    reads, after = [], []
+    if opsem.needs_temps(sem):
+        temps = "ab"[:len(shape)]
+        reads = [f"{t} = {o}" for t, o in zip(temps, operands)]
+        after = opsem.fault_check(sem, temps[-1])
+        operands = temps
+    expr = opsem.expression(sem, operands)
+    compute = f"r = ({expr}) & mask" if sem.wraps else f"r = {expr}"
+    # Registers are read under the try: in the bound reads, or else
+    # inline in the expression itself.
+    if reads:
+        after.append(compute)
+    else:
+        reads = [compute]
+    regs = [p for p, kind in zip(params, shape) if kind == "r"]
+    if regs:
+        body += ["try:", *("    " + line for line in reads),
+                 "except KeyError:",
+                 f"    _raise_undef(ctx, frame, {', '.join(regs)})"]
+    else:
+        body += reads
+    result = "r - mod if r >= sign else r" if sem.wraps else "r"
+    body += [*after, f"values[instr] = {result}", "frame.index = nxt",
+             "return True"]
+    source = "\n".join(
+        [f"def make(instr, nxt, mask, sign, mod, {', '.join(params)}):",
+         "    def op(ctx, frame):",
+         *("        " + line for line in body),
+         "    return op"])
+    env = dict(opsem.ENV, _raise_undef=_raise_undef)
+    exec(compile(source, f"<opsem {shape}>", "exec"), env)
+    return env["make"]
+
+
+def _compile_pure(machine: Machine, instr: Instruction, nxt: int) -> Op:
+    """A BinOp, Cmp or Cast: its table entry's closure for the
+    operands' shape, folded at decode time when every operand is a
+    constant."""
+    sem = opsem.semantics(instr)
+    wrap = opsem.wrap_params(instr)
+    operands = [_operand(machine, value) for value in instr.operands]
+    shape = "".join(_SHAPE[kind] for kind, _payload in operands)
+    if "g" in shape:
+        getters = [_kind_getter(kind, payload)
+                   for kind, payload in operands]
+        return _factory(sem, "g" * len(getters))(instr, nxt, *wrap,
+                                                 *getters)
+    # A constant the coercion rejects (int(inf)) raises here, and
+    # _decode falls back to the legacy op, which raises on execution.
+    coerce = opsem.COERCE_VALUE[sem.coerce]
+    payloads = [coerce(payload) if kind == "const" else payload
+                for kind, payload in operands]
+    op = _factory(sem, shape)(instr, nxt, *wrap, *payloads)
+    return op if "r" in shape else _fold(instr, nxt, op)
+
+
+def _fold(instr: Instruction, nxt: int, op: Op) -> Op:
+    """Run an all-constant op once now; a fault is deferred to run
+    time, where it is raised on every execution."""
+    scratch = SimpleNamespace(values={}, index=0)  # a stand-in frame
+    try:
+        op(None, scratch)
+    except RuntimeFault as fault:
+        message = str(fault)
+
+        def raising(ctx, frame):
+            raise RuntimeFault(message)
+        return raising
+    folded = scratch.values[instr]
+
+    def constant(ctx, frame):
+        frame.values[instr] = folded
+        frame.index = nxt
+        return True
+    return constant
 
 
 # -- per-instruction compilation -------------------------------------------------
@@ -529,17 +538,11 @@ def _compile_instruction(machine: Machine, block: BasicBlock, index: int,
     if isinstance(instr, Store):
         return _compile_store(machine, instr, nxt)
 
-    if isinstance(instr, BinOp):
-        return _compile_binop(machine, instr, nxt)
-
-    if isinstance(instr, Cmp):
-        return _compile_cmp_instr(machine, instr, nxt)
+    if isinstance(instr, (BinOp, Cmp, Cast)):
+        return _compile_pure(machine, instr, nxt)
 
     if isinstance(instr, GEP):
         return _compile_gep(machine, instr, nxt)
-
-    if isinstance(instr, Cast):
-        return _compile_cast(machine, instr, nxt)
 
     if isinstance(instr, Select):
         true_get = _getter(machine, instr.true_value)
@@ -756,254 +759,6 @@ def _compile_store(machine: Machine, instr: Store, nxt: int) -> Op:
                 machine.mem_write(ctx, pc, vc)
         else:
             machine.mem_write(ctx, pc, vc)
-        frame.index = nxt
-        return True
-    return op
-
-
-def _compile_binop(machine: Machine, instr: BinOp, nxt: int) -> Op:
-    arith = _compile_arith(instr)
-    lkind, lv = _operand(machine, instr.lhs)
-    rkind, rv = _operand(machine, instr.rhs)
-
-    if lkind == "const" and rkind == "const":
-        try:
-            folded = arith(lv, rv)
-        except RuntimeFault as fault:
-            message = str(fault)
-
-            def op(ctx, frame):
-                raise RuntimeFault(message)
-            return op
-
-        def op(ctx, frame):
-            frame.values[instr] = folded
-            frame.index = nxt
-            return True
-        return op
-
-    if lkind == "getter" or rkind == "getter":
-        lget = _kind_getter(lkind, lv)
-        rget = _kind_getter(rkind, rv)
-
-        def op(ctx, frame):
-            frame.values[instr] = arith(lget(ctx, frame),
-                                        rget(ctx, frame))
-            frame.index = nxt
-            return True
-        return op
-
-    op_name = instr.op
-    if op_name in ("add", "sub", "mul"):
-        # The loop-body workhorses: fully inlined, including the
-        # wrap-to-width (identical to _apply_binop's coerce + wrap).
-        bits = instr.type.bits if isinstance(instr.type, IntType) else 64
-        mask = (1 << bits) - 1
-        sign = 1 << (bits - 1)
-        mod = 1 << bits
-        if lkind == "reg" and rkind == "reg":
-            lreg, rreg = lv, rv
-            if op_name == "add":
-                def op(ctx, frame):
-                    values = frame.values
-                    try:
-                        r = (int(values[lreg]) + int(values[rreg])) & mask
-                    except KeyError:
-                        _raise_undef(ctx, frame, lreg, rreg)
-                    values[instr] = r - mod if r >= sign else r
-                    frame.index = nxt
-                    return True
-            elif op_name == "sub":
-                def op(ctx, frame):
-                    values = frame.values
-                    try:
-                        r = (int(values[lreg]) - int(values[rreg])) & mask
-                    except KeyError:
-                        _raise_undef(ctx, frame, lreg, rreg)
-                    values[instr] = r - mod if r >= sign else r
-                    frame.index = nxt
-                    return True
-            else:
-                def op(ctx, frame):
-                    values = frame.values
-                    try:
-                        r = (int(values[lreg]) * int(values[rreg])) & mask
-                    except KeyError:
-                        _raise_undef(ctx, frame, lreg, rreg)
-                    values[instr] = r - mod if r >= sign else r
-                    frame.index = nxt
-                    return True
-            return op
-        if lkind == "reg":
-            lreg, rc = lv, int(rv)
-            if op_name == "add":
-                def op(ctx, frame):
-                    values = frame.values
-                    try:
-                        r = (int(values[lreg]) + rc) & mask
-                    except KeyError:
-                        _raise_undef(ctx, frame, lreg)
-                    values[instr] = r - mod if r >= sign else r
-                    frame.index = nxt
-                    return True
-            elif op_name == "sub":
-                def op(ctx, frame):
-                    values = frame.values
-                    try:
-                        r = (int(values[lreg]) - rc) & mask
-                    except KeyError:
-                        _raise_undef(ctx, frame, lreg)
-                    values[instr] = r - mod if r >= sign else r
-                    frame.index = nxt
-                    return True
-            else:
-                def op(ctx, frame):
-                    values = frame.values
-                    try:
-                        r = (int(values[lreg]) * rc) & mask
-                    except KeyError:
-                        _raise_undef(ctx, frame, lreg)
-                    values[instr] = r - mod if r >= sign else r
-                    frame.index = nxt
-                    return True
-            return op
-        lc, rreg = int(lv), rv
-        if op_name == "add":
-            def op(ctx, frame):
-                values = frame.values
-                try:
-                    r = (lc + int(values[rreg])) & mask
-                except KeyError:
-                    _raise_undef(ctx, frame, rreg)
-                values[instr] = r - mod if r >= sign else r
-                frame.index = nxt
-                return True
-        elif op_name == "sub":
-            def op(ctx, frame):
-                values = frame.values
-                try:
-                    r = (lc - int(values[rreg])) & mask
-                except KeyError:
-                    _raise_undef(ctx, frame, rreg)
-                values[instr] = r - mod if r >= sign else r
-                frame.index = nxt
-                return True
-        else:
-            def op(ctx, frame):
-                values = frame.values
-                try:
-                    r = (lc * int(values[rreg])) & mask
-                except KeyError:
-                    _raise_undef(ctx, frame, rreg)
-                values[instr] = r - mod if r >= sign else r
-                frame.index = nxt
-                return True
-        return op
-
-    # Division / remainder / float / bitwise family: registers read
-    # inline, the pre-compiled arith callable does the rest.
-    if lkind == "reg" and rkind == "reg":
-        lreg, rreg = lv, rv
-
-        def op(ctx, frame):
-            values = frame.values
-            try:
-                a = values[lreg]
-                b = values[rreg]
-            except KeyError:
-                _raise_undef(ctx, frame, lreg, rreg)
-            values[instr] = arith(a, b)
-            frame.index = nxt
-            return True
-        return op
-    if lkind == "reg":
-        lreg, rc = lv, rv
-
-        def op(ctx, frame):
-            values = frame.values
-            try:
-                a = values[lreg]
-            except KeyError:
-                _raise_undef(ctx, frame, lreg)
-            values[instr] = arith(a, rc)
-            frame.index = nxt
-            return True
-        return op
-    lc, rreg = lv, rv
-
-    def op(ctx, frame):
-        values = frame.values
-        try:
-            b = values[rreg]
-        except KeyError:
-            _raise_undef(ctx, frame, rreg)
-        values[instr] = arith(lc, b)
-        frame.index = nxt
-        return True
-    return op
-
-
-def _compile_cmp_instr(machine: Machine, instr: Cmp, nxt: int) -> Op:
-    compare = _compile_cmp(instr)
-    lkind, lv = _operand(machine, instr.lhs)
-    rkind, rv = _operand(machine, instr.rhs)
-
-    if lkind == "const" and rkind == "const":
-        folded = compare(lv, rv)
-
-        def op(ctx, frame):
-            frame.values[instr] = folded
-            frame.index = nxt
-            return True
-        return op
-
-    if lkind == "getter" or rkind == "getter":
-        lget = _kind_getter(lkind, lv)
-        rget = _kind_getter(rkind, rv)
-
-        def op(ctx, frame):
-            frame.values[instr] = compare(lget(ctx, frame),
-                                          rget(ctx, frame))
-            frame.index = nxt
-            return True
-        return op
-
-    if lkind == "reg" and rkind == "reg":
-        lreg, rreg = lv, rv
-
-        def op(ctx, frame):
-            values = frame.values
-            try:
-                a = values[lreg]
-                b = values[rreg]
-            except KeyError:
-                _raise_undef(ctx, frame, lreg, rreg)
-            values[instr] = compare(a, b)
-            frame.index = nxt
-            return True
-        return op
-    if lkind == "reg":
-        lreg, rc = lv, rv
-
-        def op(ctx, frame):
-            values = frame.values
-            try:
-                a = values[lreg]
-            except KeyError:
-                _raise_undef(ctx, frame, lreg)
-            values[instr] = compare(a, rc)
-            frame.index = nxt
-            return True
-        return op
-    lc, rreg = lv, rv
-
-    def op(ctx, frame):
-        values = frame.values
-        try:
-            b = values[rreg]
-        except KeyError:
-            _raise_undef(ctx, frame, rreg)
-        values[instr] = compare(lc, b)
         frame.index = nxt
         return True
     return op
@@ -1269,75 +1024,6 @@ def _compile_gep(machine: Machine, instr: GEP, nxt: int) -> Op:
         for getter, scale in getters:
             addr += int(getter(ctx, frame)) * scale
         frame.values[instr] = addr
-        frame.index = nxt
-        return True
-    return op
-
-
-def _compile_cast(machine: Machine, instr: Cast, nxt: int) -> Op:
-    kind = instr.kind
-    vkind, val = _operand(machine, instr.value)
-
-    if kind in ("bitcast", "inttoptr", "ptrtoint"):
-        convert = None
-    elif kind == "trunc":
-        bits = instr.to_type.bits  # type: ignore[attr-defined]
-        mask = (1 << bits) - 1
-        sign = 1 << (bits - 1)
-        mod = 1 << bits
-
-        def convert(v):
-            v = int(v) & mask
-            return v - mod if v >= sign else v
-    elif kind in ("zext", "sext", "fptosi"):
-        convert = int
-    elif kind == "sitofp":
-        convert = float
-    else:
-        return _legacy_op(instr)  # "unhandled cast" fault
-
-    if vkind == "const":
-        folded = val if convert is None else convert(val)
-
-        def op(ctx, frame):
-            frame.values[instr] = folded
-            frame.index = nxt
-            return True
-        return op
-    if vkind == "reg":
-        vreg = val
-        if convert is None:
-            def op(ctx, frame):
-                values = frame.values
-                try:
-                    v = values[vreg]
-                except KeyError:
-                    _raise_undef(ctx, frame, vreg)
-                values[instr] = v
-                frame.index = nxt
-                return True
-            return op
-
-        def op(ctx, frame):
-            values = frame.values
-            try:
-                v = values[vreg]
-            except KeyError:
-                _raise_undef(ctx, frame, vreg)
-            values[instr] = convert(v)
-            frame.index = nxt
-            return True
-        return op
-    vget = val
-    if convert is None:
-        def op(ctx, frame):
-            frame.values[instr] = vget(ctx, frame)
-            frame.index = nxt
-            return True
-        return op
-
-    def op(ctx, frame):
-        frame.values[instr] = convert(vget(ctx, frame))
         frame.index = nxt
         return True
     return op

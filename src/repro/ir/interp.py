@@ -520,6 +520,11 @@ class ExecutionContext:
 
 
 # -- pure-operation helpers ------------------------------------------------------
+#
+# The reference semantics of BinOp, Cmp and Cast, written independently
+# of the op-semantics table (repro.ir.opsem) that the decoded and traced
+# tiers generate their code from; tests/ir/test_opsem.py compares every
+# op across the three engines.  constfold folds with these too.
 
 _INT64_MASK = (1 << 64) - 1
 

@@ -85,10 +85,11 @@ from repro.ir.instructions import (
     Select,
     Store,
 )
-from repro.ir.interp import _INT64_MASK, _trunc_div, ExecutionContext, Machine
+from repro.ir import opsem
+from repro.ir.interp import ExecutionContext, Machine
 from repro.ir.cfg import predecessor_map
 from repro.ir.module import BasicBlock, Function
-from repro.ir.types import ArrayType, IntType, StructType
+from repro.ir.types import ArrayType, StructType
 from repro.ir.values import Constant, UndefValue, Value
 from repro.pipeline.analyses import AnalysisCache
 
@@ -326,10 +327,6 @@ class TraceEntry:
 # -- the region compiler ---------------------------------------------------------
 
 
-_CMP_PY = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=",
-           "gt": ">", "ge": ">="}
-
-
 class _RegionCompiler:
     """Generates one Python function for a loop region.
 
@@ -347,8 +344,7 @@ class _RegionCompiler:
         self.env: Dict[str, object] = {
             "__MISS": _MISS,
             "__UNMAPPED": _UNMAPPED,
-            "__RuntimeFault": RuntimeFault,
-            "__td": _trunc_div,
+            **opsem.ENV,
         }
         self.lines: List[str] = []
         self.indent = 1
@@ -570,14 +566,10 @@ class _RegionCompiler:
             self.emit_load(instr)
         elif isinstance(instr, Store):
             self.emit_store(instr)
-        elif isinstance(instr, BinOp):
-            self.emit_binop(instr)
-        elif isinstance(instr, Cmp):
-            self.emit_cmp(instr)
+        elif isinstance(instr, (BinOp, Cmp, Cast)):
+            self.emit_op(instr)
         elif isinstance(instr, GEP):
             self.emit_gep(instr)
-        elif isinstance(instr, Cast):
-            self.emit_cast(instr)
         elif isinstance(instr, Select):
             self.emit_select(instr)
         else:
@@ -615,111 +607,6 @@ class _RegionCompiler:
         self.line(f"    {slots}[{addr}] = {value}")
         self.line("else:")
         self.line(f"    {write}(ctx, {addr}, {value})")
-
-    def _wrap(self, dest: str, expr: str, bits: int) -> None:
-        mask = (1 << bits) - 1
-        sign = 1 << (bits - 1)
-        mod = 1 << bits
-        self.line(f"{dest} = ({expr}) & {mask}")
-        self.line(f"{dest} = {dest} - {mod} if {dest} >= {sign} "
-                  f"else {dest}")
-
-    def emit_binop(self, instr: BinOp) -> None:
-        op = instr.op
-        if op[0] == "f" and op in ("fadd", "fsub", "fmul", "fdiv"):
-            if op == "fdiv":
-                lhs = self.as_float(instr.lhs)
-                rhs = self.as_float(instr.rhs)
-                self.flush()
-                b = self.fresh("u")
-                # Both operands coerce before the check, like decoded.
-                a = self.fresh("u")
-                self.line(f"{a} = {lhs}")
-                self.line(f"{b} = {rhs}")
-                self.line(f"if {b} == 0.0:")
-                self.line("    raise __RuntimeFault("
-                          "'float division by zero')")
-                dest = self.define(instr, "float")
-                self.line(f"{dest} = {a} / {b}")
-                return
-            py = {"fadd": "+", "fsub": "-", "fmul": "*"}[op]
-            lhs = self.as_float(instr.lhs)
-            rhs = self.as_float(instr.rhs)
-            dest = self.define(instr, "float")
-            self.line(f"{dest} = {lhs} {py} {rhs}")
-            return
-        bits = instr.type.bits if isinstance(instr.type, IntType) else 64
-        m64 = _INT64_MASK
-        if op in ("sdiv", "udiv", "srem", "urem"):
-            lhs = self.as_int(instr.lhs)
-            rhs = self.as_int(instr.rhs)
-            self.flush()
-            a = self.fresh("u")
-            b = self.fresh("u")
-            self.line(f"{a} = {lhs}")
-            self.line(f"{b} = {rhs}")
-            noun = ("division" if op in ("sdiv", "udiv")
-                    else "remainder")
-            self.line(f"if {b} == 0:")
-            self.line(f"    raise __RuntimeFault("
-                      f"'integer {noun} by zero')")
-            dest = self.define(instr, "int")
-            if op == "sdiv":
-                self._wrap(dest, f"__td({a}, {b})", bits)
-            elif op == "udiv":
-                self._wrap(dest, f"({a} & {m64}) // ({b} & {m64})",
-                           bits)
-            elif op == "srem":
-                self._wrap(dest, f"{a} - __td({a}, {b}) * {b}", bits)
-            else:
-                self._wrap(dest, f"({a} & {m64}) % ({b} & {m64})",
-                           bits)
-            return
-        simple = {"add": "+", "sub": "-", "mul": "*",
-                  "and": "&", "or": "|", "xor": "^"}
-        if op in simple:
-            lhs = self.as_int(instr.lhs)
-            rhs = self.as_int(instr.rhs)
-            dest = self.define(instr, "int")
-            self._wrap(dest, f"{lhs} {simple[op]} {rhs}", bits)
-            return
-        if op in ("shl", "lshr", "ashr"):
-            lhs = self.as_int(instr.lhs)
-            rhs = self.as_int(instr.rhs)
-            dest = self.define(instr, "int")
-            if op == "shl":
-                self._wrap(dest, f"{lhs} << ({rhs} & 63)", bits)
-            elif op == "lshr":
-                self._wrap(dest, f"({lhs} & {m64}) >> ({rhs} & 63)",
-                           bits)
-            else:
-                self._wrap(dest, f"{lhs} >> ({rhs} & 63)", bits)
-            return
-        raise _Untraceable(f"binop {op}")
-
-    def emit_cmp(self, instr: Cmp) -> None:
-        pred = instr.predicate
-        if pred[0] == "f":
-            py = _CMP_PY.get(pred[1:])
-            if py is None:
-                raise _Untraceable(f"cmp {pred}")
-            lhs = self.as_float(instr.lhs)
-            rhs = self.as_float(instr.rhs)
-        elif pred[0] == "u" and pred[1:] in _CMP_PY:
-            py = _CMP_PY[pred[1:]]
-            m64 = _INT64_MASK
-            lhs = f"({self.as_int(instr.lhs)} & {m64})"
-            rhs = f"({self.as_int(instr.rhs)} & {m64})"
-        else:
-            if pred[0] == "s":
-                pred = pred[1:]
-            py = _CMP_PY.get(pred)
-            if py is None:
-                raise _Untraceable(f"cmp {instr.predicate}")
-            lhs = self.as_int(instr.lhs)
-            rhs = self.as_int(instr.rhs)
-        dest = self.define(instr, "int")
-        self.line(f"{dest} = 1 if {lhs} {py} {rhs} else 0")
 
     def emit_gep(self, instr: GEP) -> None:
         current = instr.ptr.type.pointee
@@ -759,26 +646,42 @@ class _RegionCompiler:
                            "int" if base_kind == "int" else "raw")
         self.line(f"{dest} = " + " + ".join(parts))
 
-    def emit_cast(self, instr: Cast) -> None:
-        kind = instr.kind
-        if kind in ("bitcast", "inttoptr", "ptrtoint"):
-            expr, vkind = self.val(instr.value)
-            dest = self.define(instr, vkind)
-            self.line(f"{dest} = {expr}")
-        elif kind == "trunc":
-            bits = instr.to_type.bits  # type: ignore[attr-defined]
-            dest = self.define(instr, "int")
-            self._wrap(dest, self.as_int(instr.value), bits)
-        elif kind in ("zext", "sext", "fptosi"):
-            expr = self.as_int(instr.value)
-            dest = self.define(instr, "int")
-            self.line(f"{dest} = {expr}")
-        elif kind == "sitofp":
-            expr = self.as_float(instr.value)
-            dest = self.define(instr, "float")
-            self.line(f"{dest} = {expr}")
+    def emit_op(self, instr: Instruction) -> None:
+        """A BinOp, Cmp or Cast: its op-semantics template over the
+        coerced operands, skipping ``int()``/``float()`` on locals
+        already known to hold that kind."""
+        sem = opsem.semantics(instr)
+        operands = []
+        kind = sem.result
+        for value in instr.operands:
+            if sem.coerce == "raw":
+                # An identity cast keeps its operand's kind.
+                expr, kind = self.val(value)
+            elif sem.coerce == "float":
+                expr = self.as_float(value)
+            else:
+                expr = self.as_int(value)
+                if sem.coerce == "u64":
+                    expr = f"({expr} & {opsem.M64})"
+            operands.append(expr)
+        if opsem.needs_temps(sem):
+            if sem.fault is not None:
+                self.flush()  # the divisor check can fault
+            temps = [self.fresh("u") for _ in operands]
+            for temp, expr in zip(temps, operands):
+                self.line(f"{temp} = {expr}")
+            for text in opsem.fault_check(sem, temps[-1]):
+                self.line(text)
+            operands = temps
+        dest = self.define(instr, kind)
+        expr = opsem.expression(sem, operands)
+        if sem.wraps:
+            mask, sign, mod = opsem.wrap_params(instr)
+            self.line(f"{dest} = ({expr}) & {mask}")
+            self.line(f"{dest} = {dest} - {mod} if {dest} >= {sign} "
+                      f"else {dest}")
         else:
-            raise _Untraceable(f"cast {kind}")
+            self.line(f"{dest} = {expr}")
 
     def emit_select(self, instr: Select) -> None:
         # A Python conditional expression evaluates only the chosen

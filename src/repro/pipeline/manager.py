@@ -127,8 +127,7 @@ class PassManager:
     def run(self, target, mode: str = "hardened",
             entries: Optional[Sequence[str]] = None,
             sync_barriers: bool = True, metrics=None,
-            tracer=None, optimize: Optional[str] = None,
-            profile: Optional[dict] = None) -> CompilationContext:
+            tracer=None, optimize: Optional[str] = None) -> CompilationContext:
         """Run the pipeline over ``target`` (a Module or an existing
         :class:`CompilationContext`) and return the context."""
         if isinstance(target, CompilationContext):
@@ -137,7 +136,7 @@ class PassManager:
             ctx = CompilationContext(target, mode=mode, entries=entries,
                                      sync_barriers=sync_barriers,
                                      metrics=metrics, tracer=tracer,
-                                     optimize=optimize, profile=profile)
+                                     optimize=optimize)
         for p in self.passes:
             self._run_one(ctx, p)
         ctx.publish_cache_stats()

@@ -158,8 +158,7 @@ class OptimizePlacementPass(Pass):
                                           cache=ctx.cache)
         ctx.analysis.check()
         ctx.planner, ctx.placement_graph, ctx.placement = \
-            optimize_placement(ctx.analysis, policy,
-                               profile=ctx.profile, cache=ctx.cache)
+            optimize_placement(ctx.analysis, policy, cache=ctx.cache)
         ctx.placement_report = placement_report(ctx.placement_graph,
                                                 ctx.placement)
         return {"placement_moves": ctx.placement.moves,

@@ -45,16 +45,15 @@ from repro.sgx import SGXAccessPolicy
 Op = Tuple
 
 
-def compile_secure_kv(optimize: Optional[str] = None,
-                      profile: Optional[dict] = None):
+def compile_secure_kv(optimize: Optional[str] = None):
     """Compile and partition the served application (hardened mode).
 
     Split out so callers hosting many engines (the benchmark) can
-    compile once and share the program.  ``optimize``/``profile``
-    select a placement policy (``repro.core.placement``) for the
+    compile once and share the program.  ``optimize`` selects a
+    placement policy (``repro.core.placement``) for the
     served partition."""
     return compile_and_partition(SECURE_KV_SOURCE, mode=HARDENED,
-                                 optimize=optimize, profile=profile)
+                                 optimize=optimize)
 
 
 class SecureKVEngine:

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.compiler import compile_and_partition
 from repro.errors import FrontendError, SecureTypeError
-from repro.frontend.minipy import compile_source
+from repro.frontend.minipy import compile_source, tokenize
 from repro.ir.instructions import Call, Store
 
 BROKEN = """\
@@ -88,3 +88,12 @@ def test_bad_annotation_names_the_decorator_line():
         compile_source("@entyr\ndef main():\n    return 0\n")
     assert "did you mean 'entry'" in str(excinfo.value)
     assert excinfo.value.line == 1
+
+
+@pytest.mark.parametrize("source,column", [
+    ("x = ²\n", 5), ("x = ٣\n", 5), ("x = 12²\n", 7)])
+def test_non_ascii_digit_is_a_located_frontend_error(source, column):
+    with pytest.raises(FrontendError) as excinfo:
+        list(tokenize(source))
+    assert (excinfo.value.line, excinfo.value.column) == (1, column)
+    assert "unexpected character" in str(excinfo.value)

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from repro.apps.minicache.minic_source import FULL_ANNOTATED
+from repro.errors import FrontendError
 from repro.frontend.lexer import tokenize
 from repro.serve.secure_source import SECURE_KV_SOURCE
 
@@ -78,3 +79,15 @@ def test_source_ending_in_a_number_terminates():
     assert done.stdout.strip() == (
         "[('ident', 'x', 'x', 1, 1), ('op', '=', '=', 1, 3), "
         "('int', '1', 1, 1, 5), ('eof', '', None, 1, 6)]")
+
+
+@pytest.mark.parametrize("source,column", [
+    ("x = ²;", 5),       # not a digit to int(): once a bare ValueError
+    ("x = ٣;", 5),       # once silently read as the integer 3
+    ("x = 12²;", 7),
+])
+def test_non_ascii_digit_is_a_located_frontend_error(source, column):
+    with pytest.raises(FrontendError) as excinfo:
+        list(tokenize(source))
+    assert (excinfo.value.line, excinfo.value.column) == (1, column)
+    assert "unexpected character" in str(excinfo.value)

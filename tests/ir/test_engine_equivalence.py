@@ -198,6 +198,30 @@ def test_fault_equivalence():
         assert outcomes[engine] == outcomes["legacy"], engine
 
 
+def test_unconvertible_constant_raises_where_legacy_does():
+    """An op over a constant its coercion rejects (``1e999`` is inf,
+    which ``int()`` refuses) raises when it executes, after the
+    store before it, not when its block is decoded."""
+    source = """
+        long seen = 0;
+        int main() {
+            seen = 1;
+            long x = 1e999;
+            return x;
+        }
+    """
+    module = compile_source(source)
+    outcomes = {}
+    for engine in ENGINES:
+        machine = Machine(module, engine=engine)
+        machine.spawn("main", name="main")
+        with pytest.raises(OverflowError):
+            machine.run()
+        outcomes[engine] = (_memory_image(machine), machine.total_steps)
+    for engine in ENGINES:
+        assert outcomes[engine] == outcomes["legacy"], engine
+
+
 def test_lockstep_interleaving():
     """Fig 3-style: two contexts sharing a global, stepped manually
     in an adversarial interleaving.  Both engines must show the same

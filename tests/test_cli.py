@@ -403,29 +403,9 @@ def test_run_optimize_kl_is_behavior_preserving(effectful_file,
     assert messages(optimized) < messages(baseline)
 
 
-def test_run_profile_roundtrip_via_files(effectful_file, tmp_path,
-                                         capsys):
-    """--profile-out from an unoptimized run feeds --profile-in on
-    the next compile: the CLI loop of the profile policy."""
-    import json
-
-    profile_path = tmp_path / "traffic.json"
-    assert main(["run", "--mode", "relaxed", effectful_file,
-                 "--profile-out", str(profile_path)]) == 0
-    out = capsys.readouterr().out
-    assert f"profile: wrote {profile_path}" in out
-    profile = json.loads(profile_path.read_text())
-    assert profile["channels"]
-    assert main(["run", "--mode", "relaxed", effectful_file,
-                 "--optimize", "profile",
-                 "--profile-in", str(profile_path),
-                 "--partition-stats"]) == 0
-    assert '"policy": "profile"' in capsys.readouterr().out
-
-
-def test_profile_policy_without_profile_in_is_friendly(
-        effectful_file, capsys):
+def test_deleted_profile_policy_is_rejected(effectful_file, capsys):
     assert main(["run", "--mode", "relaxed", effectful_file,
                  "--optimize", "profile"]) == 1
     err = capsys.readouterr().err
-    assert "--profile-out" in err
+    assert "unknown placement policy 'profile'" in err
+    assert "choose from: none, kl" in err
